@@ -19,8 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
 
+	"reqsched/internal/pool"
 	"reqsched/internal/registry"
 )
 
@@ -37,15 +37,10 @@ const (
 func workersFlag(fs *flag.FlagSet) *int { return fs.Int("workers", 0, workersUsage) }
 
 // resolveWorkers maps the shared -workers convention to the concrete pool
-// size: any value <= 0 resolves to runtime.GOMAXPROCS(0). Every binary
-// resolves through here, so "-workers 0" means the same thing everywhere and
-// -describe can report the value the pools will actually use.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
+// size by the pool's own rule (any value <= 0 resolves to GOMAXPROCS). Every
+// binary resolves through here, so "-workers 0" means the same thing
+// everywhere and -describe can report the value the pools will actually use.
+func resolveWorkers(w int) int         { return pool.Workers(w) }
 func seedFlag(fs *flag.FlagSet) *int64 { return fs.Int64("seed", 1, seedUsage) }
 func nFlag(fs *flag.FlagSet) *int      { return fs.Int("n", 8, nUsage) }
 func dFlag(fs *flag.FlagSet) *int      { return fs.Int("d", 4, dUsage) }

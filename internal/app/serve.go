@@ -54,7 +54,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		roundMS  = fs.Int("round-ms", 100, "wall-clock round length in milliseconds")
 		virtual  = fs.Bool("virtual-clock", false, "deterministic clock: record arrival rounds drive the engine instead of a ticker")
 		queue    = fs.Int("queue", 4096, "arrival queue capacity (full queue answers 429)")
-		batch    = fs.Int("ingest-batch", 0, "records admitted per lock acquisition (0: 256, 1: record at a time)")
 		stripes  = fs.Int("stripes", 0, "wall-clock arrival queue shards (0: GOMAXPROCS; ignored under -virtual-clock)")
 		pprofSrv = fs.String("pprof", "", "also serve net/http/pprof on this address (e.g. localhost:6060; empty: off)")
 	)
@@ -82,7 +81,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		Virtual:      *virtual,
 		RoundDur:     time.Duration(*roundMS) * time.Millisecond,
 		QueueCap:     *queue,
-		IngestBatch:  *batch,
 		Stripes:      *stripes,
 	})
 	if err != nil {
@@ -182,34 +180,6 @@ func serveChecks(add func(name string, ok bool, format string, args ...interface
 		"daemon %d/%d OPT %d vs engine %d/%d OPT %d (%d segments, ingest %d)",
 		m.Fulfilled, m.Expired, m.Rolling.Opt, want.Fulfilled, want.Expired, opt,
 		m.Rolling.Solved, rw.Code)
-
-	// The ingest batch size only changes lock cadence, and the rolling batch
-	// fallback only changes how segments are solved: both must reproduce the
-	// incremental default's totals and rolling ratio exactly.
-	run := func(cfg serve.Config) (serve.Metrics, bool) {
-		cfg.N, cfg.D, cfg.Virtual = tr.N, tr.D, true
-		cfg.Strategy = reqsched.NewABalance()
-		s, err := serve.New(cfg)
-		if err != nil {
-			return serve.Metrics{}, false
-		}
-		rw := httptest.NewRecorder()
-		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(buf.Bytes())))
-		return s.Drain(), rw.Code == http.StatusOK
-	}
-	deep, okDeep := run(serve.Config{})
-	shallow, okShallow := run(serve.Config{IngestBatch: 1})
-	batch, okBatch := run(serve.Config{RollingBatch: true})
-	sameTotals := func(a, b serve.Metrics) bool {
-		return a.Requests == b.Requests && a.Fulfilled == b.Fulfilled &&
-			a.Expired == b.Expired && a.Rolling == b.Rolling
-	}
-	add("serve: ingest batch sizes identical", okDeep && okShallow && sameTotals(deep, shallow),
-		"batch 256: %d/%d rolling %+v, batch 1: %d/%d rolling %+v",
-		deep.Requests, deep.Fulfilled, deep.Rolling,
-		shallow.Requests, shallow.Fulfilled, shallow.Rolling)
-	add("serve: rolling batch fallback matches incremental", okBatch && sameTotals(deep, batch),
-		"incremental rolling %+v vs batch-solver rolling %+v", deep.Rolling, batch.Rolling)
 
 	serveStripedCheck(add)
 }

@@ -277,7 +277,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	if *tools {
 		cmds := [][]string{
 			{"go", "vet", "./..."},
-			{"go", "test", "-race", "./internal/offline", "./internal/ratio", "./internal/experiment", "./internal/grid", "./internal/serve", "./internal/policy", "./internal/matching", "./internal/core", "./internal/trace"},
+			{"go", "test", "-race", "./internal/pool", "./internal/offline", "./internal/ratio", "./internal/experiment", "./internal/grid", "./internal/serve", "./internal/policy", "./internal/matching", "./internal/core", "./internal/trace"},
 		}
 		for _, args := range cmds {
 			cmd := exec.Command(args[0], args[1:]...)

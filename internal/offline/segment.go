@@ -9,14 +9,14 @@
 package offline
 
 import (
+	"context"
+	"fmt"
 	"iter"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"reqsched/internal/core"
 	"reqsched/internal/matching"
+	"reqsched/internal/pool"
 )
 
 // Segment is one independent piece of a trace's request/slot graph: the
@@ -375,137 +375,59 @@ func OptimumMinLatencyParallel(tr *core.Trace, workers int) ([]core.Fulfillment,
 // is order-independent, so the result is deterministic regardless of
 // scheduling.
 func sumSegments(sp space, segs []Segment, workers int, solve func(*segSolver, space, Segment) int64) int64 {
-	if len(segs) == 0 {
-		return 0
+	total := int64(0)
+	for _, v := range mapSegments(sp, segs, workers, solve) {
+		total += v
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	if workers <= 1 {
-		ss := newSegSolver()
-		total := int64(0)
-		for _, seg := range segs {
-			total += solve(ss, sp, seg)
-		}
-		return total
-	}
-	var (
-		total atomic.Int64
-		next  atomic.Int64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			sum := int64(0)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(segs) {
-					break
-				}
-				sum += solve(ss, sp, segs[i])
-			}
-			total.Add(sum)
-		}()
-	}
-	wg.Wait()
-	return total.Load()
+	return total
 }
 
-// mapSegments runs solve over every segment on a worker pool with per-worker
-// scratch, storing results by segment index — the shape objectives with
-// structured per-segment results (min-latency logs) need. Workers claim
-// segments through an atomic cursor; results land at their segment's index,
-// so the output is deterministic regardless of scheduling.
+// mapSegments runs solve over every segment on the worker pool, each worker
+// owning one segSolver, and returns the results by segment index, so the
+// output is deterministic regardless of scheduling. A segment whose solve
+// panics re-panics here, on the caller's goroutine, as a *pool.JobPanic
+// naming the segment's rounds.
 func mapSegments[T any](sp space, segs []Segment, workers int, solve func(ss *segSolver, sp space, seg Segment) T) []T {
 	out := make([]T, len(segs))
-	if len(segs) == 0 {
-		return out
+	err := pool.Each(context.Background(), len(segs), workers, newSegSolver,
+		func(i int) string { return fmt.Sprintf("segment rounds %d..%d", segs[i].Lo, segs[i].Hi) },
+		func(ss *segSolver, i int) { out[i] = solve(ss, sp, segs[i]) })
+	if err != nil {
+		panic(err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	if workers <= 1 {
-		ss := newSegSolver()
-		for i, seg := range segs {
-			out[i] = solve(ss, sp, seg)
-		}
-		return out
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(segs) {
-					break
-				}
-				out[i] = solve(ss, sp, segs[i])
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }
 
-// wholeTraceSegment wraps an independent sub-trace as one Segment.
-func wholeTraceSegment(tr *core.Trace) Segment {
-	return Segment{Lo: 0, Hi: tr.Horizon() - 1, Reqs: tr.Requests()}
-}
-
 // streamSegments folds a per-segment int64 objective over a stream of
-// independent sub-traces on a worker pool, holding at most workers+1 segments
-// in memory at once. The first error from the iterator stops consumption and
-// is returned after in-flight segments finish.
+// independent sub-traces on the worker pool, holding at most workers+1
+// segments in memory at once. The first error from the iterator stops
+// consumption and is returned after in-flight segments finish; a segment
+// whose solve panics re-panics on the caller's goroutine as a
+// *pool.JobPanic.
 func streamSegments(segments iter.Seq2[*core.Trace, error], workers int, solve func(*segSolver, space, Segment) int64) (total int64, nsegs int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ch := make(chan *core.Trace)
-	var (
-		sum atomic.Int64
-		wg  sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss := newSegSolver()
-			acc := int64(0)
-			for tr := range ch {
-				acc += solve(ss, spaceOf(tr), wholeTraceSegment(tr))
+	traces := func(yield func(*core.Trace) bool) {
+		for tr, serr := range segments {
+			if serr != nil {
+				err = serr
+				return
 			}
-			sum.Add(acc)
-		}()
-	}
-	for tr, serr := range segments {
-		if serr != nil {
-			err = serr
-			break
+			if !yield(tr) {
+				return
+			}
 		}
-		ch <- tr
-		nsegs++
 	}
-	close(ch)
-	wg.Wait()
+	perr := pool.Stream(context.Background(), workers, newSegSolver, traces, nil,
+		func(ss *segSolver, tr *core.Trace) int64 {
+			return solve(ss, spaceOf(tr), Segment{Lo: 0, Hi: tr.Horizon() - 1, Reqs: tr.Requests()})
+		},
+		func(_ int, v int64) { total += v; nsegs++ })
+	if perr != nil {
+		panic(perr)
+	}
 	if err != nil {
-		return 0, nsegs, err
+		total = 0
 	}
-	return sum.Load(), nsegs, nil
+	return total, nsegs, err
 }
 
 // OptimumStream sums the offline optimum over a stream of independent

@@ -1,12 +1,18 @@
 package offline
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"reqsched/internal/adversary"
 	"reqsched/internal/core"
+	"reqsched/internal/pool"
 	"reqsched/internal/strategies"
+	"reqsched/internal/trace"
 	"reqsched/internal/workload"
 )
 
@@ -203,5 +209,56 @@ func TestComponentsMatchSegmentsOnGappedTraces(t *testing.T) {
 		if got := int(sumSegments(spaceOf(tr), SegmentTrace(tr), 3, (*segSolver).cardinality)); got != want {
 			t.Fatalf("trial %d: segments sum %d, Optimum %d", trial, got, want)
 		}
+	}
+}
+
+// TestSegmentPanicReraisedOnCaller pins panic attribution in the segmented
+// solvers: a segment whose solve panics comes back on the caller's goroutine
+// as a *pool.JobPanic naming its index, for the slice and the stream pool
+// alike, instead of killing the process from a worker.
+func TestSegmentPanicReraisedOnCaller(t *testing.T) {
+	tr := gappedTrace(rand.New(rand.NewSource(3)), 3, 2, 4, 3)
+	segs := SegmentTrace(tr)
+	if len(segs) < 3 {
+		t.Fatalf("%d segments; the test needs several", len(segs))
+	}
+	// Streamed segments are re-based sub-traces, so segment 1 is recognised
+	// by its requests' alternatives, not by its rounds.
+	altsOf := func(seg Segment) string {
+		var sb strings.Builder
+		for _, r := range seg.Reqs {
+			fmt.Fprint(&sb, r.Alts)
+		}
+		return sb.String()
+	}
+	bad := altsOf(segs[1])
+	solve := func(ss *segSolver, sp space, seg Segment) int64 {
+		if altsOf(seg) == bad {
+			panic("segment solver failed")
+		}
+		return ss.cardinality(sp, seg)
+	}
+	expectPanic := func(name string, run func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			var jp *pool.JobPanic
+			if !errors.As(err, &jp) || jp.Index != 1 || jp.Value != "segment solver failed" {
+				t.Fatalf("%s: recovered %v, want a *pool.JobPanic for segment 1", name, err)
+			}
+		}()
+		run()
+	}
+	for _, workers := range []int{1, 3} {
+		expectPanic(fmt.Sprintf("slice workers=%d", workers), func() {
+			sumSegments(spaceOf(tr), segs, workers, solve)
+		})
+		var buf bytes.Buffer
+		if err := trace.WriteStream(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		expectPanic(fmt.Sprintf("stream workers=%d", workers), func() {
+			streamSegments(trace.Segments(&buf), workers, solve)
+		})
 	}
 }

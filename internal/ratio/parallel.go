@@ -2,14 +2,10 @@ package ratio
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"reqsched/internal/adversary"
 	"reqsched/internal/core"
+	"reqsched/internal/pool"
 )
 
 // Job is one measurement for RunParallel: a construction factory paired with
@@ -29,23 +25,7 @@ type Job struct {
 // and index attribute the failure; Value is the recovered panic value and
 // Stack the goroutine stack captured at recovery. Sibling jobs are
 // unaffected: they run to completion before the error is surfaced.
-type JobPanic struct {
-	Name  string
-	Index int
-	Value any
-	Stack []byte
-}
-
-func (e *JobPanic) Error() string {
-	return fmt.Sprintf("ratio: job %d (%s) panicked: %v", e.Index, e.name(), e.Value)
-}
-
-func (e *JobPanic) name() string {
-	if e.Name == "" {
-		return "unnamed"
-	}
-	return e.Name
-}
+type JobPanic = pool.JobPanic
 
 // RunParallel executes the jobs on up to `workers` goroutines (GOMAXPROCS if
 // workers <= 0) and returns the measurements in job order. Each job runs a
@@ -80,55 +60,18 @@ func RunParallelChecked(jobs []Job, workers int) ([]Measurement, error) {
 // error alongside any per-job panics; undispatched jobs keep their zero
 // Measurement.
 func RunParallelCtx(ctx context.Context, jobs []Job, workers int) ([]Measurement, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	out := make([]Measurement, len(jobs))
-	if len(jobs) == 0 {
-		return out, ctx.Err()
-	}
-	errs := make([]error, len(jobs), len(jobs)+1)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = runJob(jobs[i], i)
-			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	return out, errors.Join(errs...)
+	err := pool.Each(ctx, len(jobs), workers, nil, func(i int) string { return jobs[i].Name },
+		func(_ struct{}, i int) { out[i] = runJob(jobs[i]) })
+	return out, err
 }
 
-// runJob measures one job, converting a panic anywhere in the construction
-// build, the simulation, or the optimum into an attributed *JobPanic.
-func runJob(job Job, index int) (m Measurement, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &JobPanic{Name: job.Name, Index: index, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	m = MeasureConstruction(job.Build(), job.Strategy())
+// runJob builds the job's input and strategy and measures them, labelling
+// the measurement with the job's name.
+func runJob(job Job) Measurement {
+	m := MeasureConstruction(job.Build(), job.Strategy())
 	if job.Name != "" {
 		m.Input = job.Name
 	}
-	return m, nil
+	return m
 }

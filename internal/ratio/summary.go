@@ -2,6 +2,7 @@ package ratio
 
 import (
 	"fmt"
+	"math"
 
 	"reqsched/internal/core"
 	"reqsched/internal/offline"
@@ -43,7 +44,6 @@ func (s *Summary) String() string {
 // 0..seeds-1.
 func Summarize(mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds int) *Summary {
 	var sum Summary
-	sum.Seeds = seeds
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		tr := gen(seed)
 		s := mk()
@@ -51,18 +51,21 @@ func Summarize(mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds 
 			sum.Strategy = s.Name()
 		}
 		res := core.Run(s, tr)
-		opt := offline.Optimum(tr)
-		if res.Fulfilled > 0 {
-			sum.Ratio.Add(float64(opt) / float64(res.Fulfilled))
-		} else if opt == 0 {
-			sum.Ratio.Add(1)
-		} else {
-			// Infinite ratio: the strategy starved while OPT served opt
-			// requests. Excluded from the mean, surfaced in Starved.
-			sum.Starved++
-		}
-		sum.Served.Add(float64(res.Fulfilled))
-		sum.Expired.Add(float64(res.Expired))
+		sum.add(Measurement{OPT: offline.Optimum(tr), ALG: res.Fulfilled, Expired: res.Expired})
 	}
 	return &sum
+}
+
+// add folds one seed's measurement into the summary. A seed where the
+// strategy starved while OPT served has an infinite ratio: it is counted in
+// Starved instead of the mean.
+func (s *Summary) add(m Measurement) {
+	s.Seeds++
+	if r := m.Ratio(); math.IsInf(r, 1) {
+		s.Starved++
+	} else {
+		s.Ratio.Add(r)
+	}
+	s.Served.Add(float64(m.ALG))
+	s.Expired.Add(float64(m.Expired))
 }

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"sync"
 
+	"reqsched/internal/ratio"
 	"reqsched/internal/trace"
 )
 
@@ -43,7 +44,13 @@ type ingestReply struct {
 	Offset   *int64 `json:"offset,omitempty"`
 }
 
-// ingestBatch is one connection's pooled decode buffer: up to IngestBatch
+// ingestBatchSize is how many records one ingest connection decodes before
+// admitting them under a single engine-lock acquisition. Admission order and
+// verdicts do not depend on it — batching only changes how often the lock is
+// taken.
+const ingestBatchSize = 256
+
+// ingestBatch is one connection's pooled decode buffer: up to ingestBatchSize
 // records plus each line's byte offset. Record slots keep their Alts capacity
 // across batches and connections, so a warm daemon decodes without per-line
 // allocation; admission copies the alternatives out.
@@ -135,7 +142,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sawHeader := false
 	index := 0
 	for {
-		line, next, err := ScanBodyLine(br, off)
+		line, next, err := trace.ScanJSONLine(br, off)
 		if err == io.EOF {
 			break
 		}
@@ -190,7 +197,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		batch.offs = append(batch.offs, lineOff)
 		index++
-		if len(batch.recs) >= s.cfg.IngestBatch {
+		if len(batch.recs) >= ingestBatchSize {
 			if rec, failOff, v := admit(); v != admitOK {
 				failVerdict(rec, failOff, v)
 				return
@@ -202,13 +209,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ingestReply{Accepted: accepted})
-}
-
-// ScanBodyLine wraps trace.ScanJSONLine for request bodies: identical
-// contract (CRLF-tolerant, raw-byte offsets, *TornTail on an unterminated
-// final line).
-func ScanBodyLine(br *bufio.Reader, off int64) ([]byte, int64, error) {
-	return trace.ScanJSONLine(br, off)
 }
 
 // parseHeader reports whether line is a bare stream header — an object with
@@ -228,10 +228,12 @@ func parseHeader(line []byte) (n, d int, ok bool) {
 	return h.N, h.D, true
 }
 
+// nextRound is the earliest arrival round still admitted: past every simulated
+// round and, under the virtual clock, not before the open batch's round.
 func (s *Server) nextRound() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st.Round()
+	return max(s.batchT, s.st.Round())
 }
 
 // retryAfter estimates (in whole seconds, minimum 1) when the queue will
@@ -344,11 +346,11 @@ func writePrometheus(w io.Writer, m Metrics) {
 		}
 		g("reqsched_latency_exact", e, "1 while no latency sample has been clamped (quantiles are exact).")
 	}
-	g("reqsched_segments_closed_total", m.Rolling.Closed, "Time segments closed by the cutter.")
+	g("reqsched_segments_closed_total", m.Rolling.Closed, "Time segments sealed at clean cuts.")
 	g("reqsched_segments_solved_total", m.Rolling.Solved, "Segments whose offline optimum is folded in.")
 	g("reqsched_rolling_opt_total", m.Rolling.Opt, "Offline optimum over solved segments.")
 	g("reqsched_rolling_alg_total", m.Rolling.Alg, "Strategy fulfillments over solved segments.")
-	g("reqsched_rolling_competitive_ratio", formatFloat(ratioOf(m.Rolling.Opt, m.Rolling.Alg)), "OPT/ALG over solved segments (+Inf when starved).")
+	g("reqsched_rolling_competitive_ratio", formatFloat(ratio.Measurement{OPT: m.Rolling.Opt, ALG: m.Rolling.Alg}.Ratio()), "OPT/ALG over solved segments (+Inf when starved).")
 	b := 0
 	if m.Draining {
 		b = 1

@@ -94,79 +94,91 @@ func gappedTrace() *core.Trace {
 // workload streamed through the daemon under the virtual clock must produce
 // the same schedule — fulfillment by fulfillment — as core.Run on the
 // materialized trace, and the rolling ratio must equal the post-hoc offline
-// pipeline on the same stream.
+// pipeline on the same stream. The stream is posted whole, in two halves and
+// one record per POST: how records are split into uploads (and so into
+// admission batches) must change nothing.
 func TestVirtualClockBitIdenticalToRun(t *testing.T) {
 	tr := gappedTrace()
 	var buf bytes.Buffer
 	if err := trace.WriteStream(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newServer(t, serve.Config{N: tr.N, D: tr.D, Virtual: true, KeepLog: true})
-
-	// Stream in two chunks split at a line boundary, header included in the
-	// first — the daemon must stitch consecutive uploads seamlessly.
-	lines := strings.SplitAfter(buf.String(), "\n")
-	mid := len(lines) / 2
-	for _, chunk := range []string{strings.Join(lines[:mid], ""), strings.Join(lines[mid:], "")} {
-		code, rep, _ := post(t, ts, chunk)
-		if code != http.StatusOK {
-			t.Fatalf("ingest: status %d (%s)", code, rep.Error)
-		}
-	}
-	m := drain(t, ts)
-
 	want := core.Run(strategies.NewBalance(), tr)
-	got := s.FinalResult()
-	if got == nil {
-		t.Fatal("no final result after drain")
-	}
-	if got.Requests != want.Requests || got.Fulfilled != want.Fulfilled || got.Expired != want.Expired {
-		t.Fatalf("daemon requests/fulfilled/expired %d/%d/%d, engine %d/%d/%d",
-			got.Requests, got.Fulfilled, got.Expired, want.Requests, want.Fulfilled, want.Expired)
-	}
-	if fmt.Sprint(got.PerResource) != fmt.Sprint(want.PerResource) {
-		t.Fatalf("per-resource %v vs %v", got.PerResource, want.PerResource)
-	}
-	if len(got.Log) != len(want.Log) {
-		t.Fatalf("log length %d vs %d", len(got.Log), len(want.Log))
-	}
-	for i := range got.Log {
-		g, w := got.Log[i], want.Log[i]
-		if g.Req.ID != w.Req.ID || g.Res != w.Res || g.Round != w.Round {
-			t.Fatalf("fulfillment %d: (req %d, res %d, round %d) vs (req %d, res %d, round %d)",
-				i, g.Req.ID, g.Res, g.Round, w.Req.ID, w.Res, w.Round)
-		}
-	}
-
-	// Rolling ratio: OPT over solved segments must equal the stream's offline
-	// optimum, ALG the engine's fulfillments, and the segment count the
-	// clean-cut segmentation of the same stream.
 	opt, nsegs, err := offline.OptimumStream(trace.Segments(bytes.NewReader(buf.Bytes())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rolling.Opt != opt || m.Rolling.Alg != want.Fulfilled {
-		t.Fatalf("rolling OPT/ALG %d/%d, offline pipeline %d/%d",
-			m.Rolling.Opt, m.Rolling.Alg, opt, want.Fulfilled)
-	}
-	if m.Rolling.Closed != nsegs || m.Rolling.Solved != nsegs {
-		t.Fatalf("segments closed/solved %d/%d, stream has %d", m.Rolling.Closed, m.Rolling.Solved, nsegs)
-	}
 	if nsegs < 2 {
 		t.Fatalf("workload produced %d segments; the rolling pipeline needs several to mean anything", nsegs)
 	}
-	if m.Requests != want.Requests || m.Fulfilled != want.Fulfilled || m.Expired != want.Expired {
-		t.Fatalf("drain metrics %d/%d/%d disagree with engine %d/%d/%d",
-			m.Requests, m.Fulfilled, m.Expired, want.Requests, want.Fulfilled, want.Expired)
+
+	// Chunks split at line boundaries, header included in the first — the
+	// daemon must stitch consecutive uploads seamlessly.
+	lines := strings.SplitAfter(buf.String(), "\n")
+	mid := len(lines) / 2
+	chunkings := map[string][]string{
+		"whole":      {buf.String()},
+		"halves":     {strings.Join(lines[:mid], ""), strings.Join(lines[mid:], "")},
+		"per record": lines,
 	}
-	if m.Latency.Samples != want.Fulfilled {
-		t.Fatalf("latency histogram holds %d samples, want %d", m.Latency.Samples, want.Fulfilled)
-	}
-	if m.Latency.Overflow != 0 {
-		t.Fatalf("latency histogram overflowed %d times with buckets sized to the window", m.Latency.Overflow)
-	}
-	if !m.Latency.Exact {
-		t.Fatal("latency stats not exact with buckets sized to the window")
+	for name, chunks := range chunkings {
+		s, ts := newServer(t, serve.Config{N: tr.N, D: tr.D, Virtual: true, KeepLog: true})
+		for _, chunk := range chunks {
+			if chunk == "" {
+				continue
+			}
+			code, rep, _ := post(t, ts, chunk)
+			if code != http.StatusOK {
+				t.Fatalf("%s: ingest: status %d (%s)", name, code, rep.Error)
+			}
+		}
+		m := drain(t, ts)
+
+		got := s.FinalResult()
+		if got == nil {
+			t.Fatalf("%s: no final result after drain", name)
+		}
+		if got.Requests != want.Requests || got.Fulfilled != want.Fulfilled || got.Expired != want.Expired {
+			t.Fatalf("%s: daemon requests/fulfilled/expired %d/%d/%d, engine %d/%d/%d", name,
+				got.Requests, got.Fulfilled, got.Expired, want.Requests, want.Fulfilled, want.Expired)
+		}
+		if fmt.Sprint(got.PerResource) != fmt.Sprint(want.PerResource) {
+			t.Fatalf("%s: per-resource %v vs %v", name, got.PerResource, want.PerResource)
+		}
+		if len(got.Log) != len(want.Log) {
+			t.Fatalf("%s: log length %d vs %d", name, len(got.Log), len(want.Log))
+		}
+		for i := range got.Log {
+			g, w := got.Log[i], want.Log[i]
+			if g.Req.ID != w.Req.ID || g.Res != w.Res || g.Round != w.Round {
+				t.Fatalf("%s: fulfillment %d: (req %d, res %d, round %d) vs (req %d, res %d, round %d)",
+					name, i, g.Req.ID, g.Res, g.Round, w.Req.ID, w.Res, w.Round)
+			}
+		}
+
+		// Rolling ratio: OPT over solved segments must equal the stream's
+		// offline optimum, ALG the engine's fulfillments, and the segment
+		// count the clean-cut segmentation of the same stream.
+		if m.Rolling.Opt != opt || m.Rolling.Alg != want.Fulfilled {
+			t.Fatalf("%s: rolling OPT/ALG %d/%d, offline pipeline %d/%d",
+				name, m.Rolling.Opt, m.Rolling.Alg, opt, want.Fulfilled)
+		}
+		if m.Rolling.Closed != nsegs || m.Rolling.Solved != nsegs {
+			t.Fatalf("%s: segments closed/solved %d/%d, stream has %d", name, m.Rolling.Closed, m.Rolling.Solved, nsegs)
+		}
+		if m.Requests != want.Requests || m.Fulfilled != want.Fulfilled || m.Expired != want.Expired {
+			t.Fatalf("%s: drain metrics %d/%d/%d disagree with engine %d/%d/%d",
+				name, m.Requests, m.Fulfilled, m.Expired, want.Requests, want.Fulfilled, want.Expired)
+		}
+		if m.Latency.Samples != want.Fulfilled {
+			t.Fatalf("%s: latency histogram holds %d samples, want %d", name, m.Latency.Samples, want.Fulfilled)
+		}
+		if m.Latency.Overflow != 0 {
+			t.Fatalf("%s: latency histogram overflowed %d times with buckets sized to the window", name, m.Latency.Overflow)
+		}
+		if !m.Latency.Exact {
+			t.Fatalf("%s: latency stats not exact with buckets sized to the window", name)
+		}
 	}
 }
 
@@ -280,13 +292,23 @@ func TestMalformedLineOffset(t *testing.T) {
 // for a round the engine has already closed is rejected, not silently
 // reassigned.
 func TestVirtualOutOfOrder(t *testing.T) {
-	_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: true})
-	code, rep, _ := post(t, ts, `{"t":5,"alts":[0,1]}`+"\n"+`{"t":3,"alts":[0,1]}`+"\n")
-	if code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", code)
-	}
-	if rep.Accepted != 1 || !strings.Contains(rep.Error, "closed") {
-		t.Fatalf("accepted %d error %q", rep.Accepted, rep.Error)
+	for _, tc := range []struct {
+		body, next string
+	}{
+		{`{"t":5,"alts":[0,1]}` + "\n" + `{"t":3,"alts":[0,1]}` + "\n", "(next round 5)"},
+		// The rejection comes from the open batch's round, not from the
+		// engine, which has not simulated a single round yet: the error
+		// must name the batch round as the earliest still accepted.
+		{`{"t":1000000,"alts":[0,1]}` + "\n" + `{"t":5,"alts":[0,1]}` + "\n", "(next round 1000000)"},
+	} {
+		_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: true})
+		code, rep, _ := post(t, ts, tc.body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", code)
+		}
+		if rep.Accepted != 1 || !strings.Contains(rep.Error, "closed") || !strings.Contains(rep.Error, tc.next) {
+			t.Fatalf("accepted %d error %q, want it to name %s", rep.Accepted, rep.Error, tc.next)
+		}
 	}
 }
 

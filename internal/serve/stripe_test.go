@@ -155,62 +155,6 @@ func TestConcurrentStripedIngestRace(t *testing.T) {
 	}
 }
 
-// TestRollingBatchFallbackMatchesIncremental pins the two rolling-OPT paths
-// against each other on a multi-segment stream: the per-request incremental
-// matching and the whole-segment batch solver must fold identical totals.
-func TestRollingBatchFallbackMatchesIncremental(t *testing.T) {
-	tr := gappedTrace()
-	run := func(batch bool) serve.RollingRatio {
-		cfg := serve.Config{N: tr.N, D: tr.D, Virtual: true, RollingBatch: batch}
-		_, ts := newServer(t, cfg)
-		body := streamBody(t, tr)
-		if code, rep, _ := post(t, ts, body); code != http.StatusOK {
-			t.Fatalf("ingest: status %d (%s)", code, rep.Error)
-		}
-		return drain(t, ts).Rolling
-	}
-	inc, batch := run(false), run(true)
-	if inc != batch {
-		t.Fatalf("incremental rolling %+v, batch rolling %+v", inc, batch)
-	}
-	if inc.Solved < 2 {
-		t.Fatalf("only %d segments solved; the comparison needs several", inc.Solved)
-	}
-}
-
-// TestIngestBatchSizesIdentical pins that the batch size only changes lock
-// cadence: record-at-a-time admission (IngestBatch 1) and deep batches yield
-// identical schedules and rolling totals under the virtual clock.
-func TestIngestBatchSizesIdentical(t *testing.T) {
-	tr := gappedTrace()
-	body := streamBody(t, tr)
-	run := func(ingestBatch int) (*core.Result, serve.Metrics) {
-		s, ts := newServer(t, serve.Config{
-			N: tr.N, D: tr.D, Virtual: true, KeepLog: true, IngestBatch: ingestBatch,
-		})
-		if code, rep, _ := post(t, ts, body); code != http.StatusOK {
-			t.Fatalf("ingest batch %d: status %d (%s)", ingestBatch, code, rep.Error)
-		}
-		m := drain(t, ts)
-		return s.FinalResult(), m
-	}
-	r1, m1 := run(1)
-	r256, m256 := run(256)
-	if r1.Fulfilled != r256.Fulfilled || r1.Requests != r256.Requests || len(r1.Log) != len(r256.Log) {
-		t.Fatalf("batch 1: %d/%d (%d log), batch 256: %d/%d (%d log)",
-			r1.Requests, r1.Fulfilled, len(r1.Log), r256.Requests, r256.Fulfilled, len(r256.Log))
-	}
-	for i := range r1.Log {
-		a, b := r1.Log[i], r256.Log[i]
-		if a.Req.ID != b.Req.ID || a.Res != b.Res || a.Round != b.Round {
-			t.Fatalf("fulfillment %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	if m1.Rolling != m256.Rolling {
-		t.Fatalf("rolling %+v vs %+v", m1.Rolling, m256.Rolling)
-	}
-}
-
 // TestStripedBackpressure pins the queue cap on the striped path: the atomic
 // depth check answers 429 with Retry-After once the shards hold QueueCap
 // records.
