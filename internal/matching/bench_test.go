@@ -44,26 +44,6 @@ func BenchmarkHopcroftKarp(b *testing.B) {
 	}
 }
 
-func BenchmarkKuhnVsHK(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := twoChoiceGraph(rng, 20000, 32, 6)
-	b.Run("Kuhn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Kuhn(g)
-		}
-	})
-	b.Run("HopcroftKarp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			HopcroftKarp(g)
-		}
-	})
-	b.Run("DinicFlow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MaxMatchingByFlow(g)
-		}
-	})
-}
-
 func BenchmarkLexMax(b *testing.B) {
 	for _, nClasses := range []int{2, 8, 32} {
 		nClasses := nClasses
@@ -74,9 +54,12 @@ func BenchmarkLexMax(b *testing.B) {
 			for r := range classOf {
 				classOf[r] = int32(r % nClasses)
 			}
+			var sc Scratch
+			m := NewMatching(g.NLeft(), g.NRight())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				LexMax(g, classOf)
+				m.Reset(g.NLeft(), g.NRight())
+				sc.LexMaxExtend(g, m, classOf)
 			}
 		})
 	}
@@ -89,11 +72,12 @@ func BenchmarkPreferLowAtClass(b *testing.B) {
 	for r := range classOf {
 		classOf[r] = int32(r % 8)
 	}
-	base := LexMax(g, classOf)
+	base := lexMax(g, classOf)
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := base.Clone()
-		PreferLowAtClass(g, m, classOf, 0)
+		sc.PreferLowAtClass(g, m, classOf, 0)
 	}
 }
 
@@ -118,29 +102,6 @@ func BenchmarkSymmetricDifference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SymmetricDifference(m1, m2)
-	}
-}
-
-func BenchmarkGeneralBlossom(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{100, 500, 2000} {
-		n := n
-		g := NewGeneralGraph(n)
-		for u := 0; u < n; u++ {
-			for k := 0; k < 4; k++ {
-				v := rng.Intn(n)
-				if v != u {
-					g.AddEdge(u, v)
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				size = GeneralMaximumSize(g)
-			}
-			b.ReportMetric(float64(size), "matching")
-		})
 	}
 }
 

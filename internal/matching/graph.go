@@ -1,8 +1,12 @@
 // Package matching provides the bipartite-matching substrate used throughout the
-// reproduction: maximum matchings (Kuhn, Hopcroft–Karp), greedy maximal
-// matchings, weight-class (transversal-matroid) greedy for the balance
-// strategies, Mendelsohn–Dulmage merging, alternating-path exchanges, max-flow
-// and min-cost-flow cross-checks, and brute-force reference solvers for tests.
+// reproduction: Hopcroft–Karp maximum matching, Kuhn-style augmentation from a
+// listed vertex order, the weight-class (transversal-matroid) greedy for the
+// balance strategies, Mendelsohn–Dulmage merging, the oldest-first exchange,
+// the incremental maximum matching behind the rolling optimum, symmetric
+// differences, and min-cost and max-profit matchings by successive shortest
+// paths. The solvers run on a reusable Scratch. Reference oracles (brute
+// force, Kuhn, König certificates) live in the tests, and Dinic max flow in
+// the test-only package matchtest.
 //
 // Graphs are bipartite with an explicit left side (requests, in the scheduling
 // application) and right side (time slots). All algorithms are deterministic:
@@ -217,28 +221,6 @@ func (m *Matching) UnmatchRight(r int) {
 		m.L2R[l] = None
 		m.R2L[r] = None
 	}
-}
-
-// Clone returns a deep copy of the matching.
-func (m *Matching) Clone() *Matching {
-	c := &Matching{
-		L2R: make([]int32, len(m.L2R)),
-		R2L: make([]int32, len(m.R2L)),
-	}
-	copy(c.L2R, m.L2R)
-	copy(c.R2L, m.R2L)
-	return c
-}
-
-// Pairs returns the matched (left, right) pairs in ascending left order.
-func (m *Matching) Pairs() [][2]int {
-	var ps [][2]int
-	for l, r := range m.L2R {
-		if r != None {
-			ps = append(ps, [2]int{l, int(r)})
-		}
-	}
-	return ps
 }
 
 // Verify checks structural consistency of m against g: mutual pointers, index

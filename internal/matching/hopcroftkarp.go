@@ -7,20 +7,26 @@ package matching
 // optimum where graphs have hundreds of thousands of edges.
 func HopcroftKarp(g *Graph) *Matching {
 	m := NewMatching(g.NLeft(), g.NRight())
-	HopcroftKarpExtend(g, m)
+	new(Scratch).HopcroftKarpExtend(g, m)
 	return m
 }
+
+func hkInfinity() int32 { return int32(1) << 30 }
 
 // HopcroftKarpExtend extends an existing matching to maximum cardinality.
 // Matched vertices are never unmatched, so extending an inherited schedule
 // preserves every previously scheduled request (the A_eager / A_balance
 // invariant). It returns the number of augmentations performed.
-func hkInfinity() int32 { return int32(1) << 30 }
-
-func HopcroftKarpExtend(g *Graph, m *Matching) int {
+func (sc *Scratch) HopcroftKarpExtend(g *Graph, m *Matching) int {
 	nl := g.NLeft()
-	dist := make([]int32, nl)
-	queue := make([]int32, 0, nl)
+	if cap(sc.dist) < nl {
+		sc.dist = make([]int32, nl)
+	}
+	if cap(sc.queue) < nl {
+		sc.queue = make([]int32, 0, nl)
+	}
+	dist := sc.dist[:nl]
+	queue := sc.queue[:0]
 	total := 0
 	inf := hkInfinity()
 
@@ -72,38 +78,6 @@ func HopcroftKarpExtend(g *Graph, m *Matching) int {
 			}
 		}
 	}
+	sc.queue = queue[:0]
 	return total
-}
-
-// GreedyMaximal computes a maximal (not necessarily maximum) matching by a
-// single pass over left vertices in index order, taking the first free right
-// neighbor. By the standard argument its size is at least half the maximum;
-// tests assert that invariant.
-func GreedyMaximal(g *Graph) *Matching {
-	m := NewMatching(g.NLeft(), g.NRight())
-	for l := 0; l < g.NLeft(); l++ {
-		for _, r := range g.adj[l] {
-			if m.R2L[r] == None {
-				m.Match(l, int(r))
-				break
-			}
-		}
-	}
-	return m
-}
-
-// IsMaximal reports whether m is maximal in g: no edge joins a free left
-// vertex to a free right vertex.
-func IsMaximal(g *Graph, m *Matching) bool {
-	for l := 0; l < g.NLeft(); l++ {
-		if m.L2R[l] != None {
-			continue
-		}
-		for _, r := range g.adj[l] {
-			if m.R2L[r] == None {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -6,6 +6,94 @@ import (
 	"testing/quick"
 )
 
+// This file provides optimality certificates for maximum matchings. The
+// paper's upper-bound proofs revolve around "overloaded" resource sets —
+// slot sets whose adjacent requests outnumber them — which are exactly Hall
+// violators in the bipartite graph. KonigCover and HallWitness make those
+// certificates computable; the tests below use them to verify maximality
+// independently of the solvers.
+
+// alternatingReach marks every vertex reachable from the free left vertices
+// by paths alternating non-matching (left->right) and matching (right->left)
+// edges. Returns the visit marks for both sides.
+func alternatingReach(g *Graph, m *Matching) (seenL, seenR []bool) {
+	seenL = make([]bool, g.NLeft())
+	seenR = make([]bool, g.NRight())
+	var queue []int32
+	for l := 0; l < g.NLeft(); l++ {
+		if m.L2R[l] == None {
+			seenL[l] = true
+			queue = append(queue, int32(l))
+		}
+	}
+	for len(queue) > 0 {
+		l := queue[0]
+		queue = queue[1:]
+		for _, r := range g.adj[l] {
+			if seenR[r] {
+				continue
+			}
+			seenR[r] = true
+			ml := m.R2L[r]
+			if ml != None && !seenL[ml] {
+				seenL[ml] = true
+				queue = append(queue, ml)
+			}
+		}
+	}
+	return seenL, seenR
+}
+
+// KonigCover returns a minimum vertex cover of g computed from the maximum
+// matching m by König's construction: with Z the set of vertices reachable
+// by alternating paths from free left vertices, the cover is
+// (L \ Z) ∪ (R ∩ Z). By König's theorem its size equals |m|, which the tests
+// assert as an independent certificate that m is maximum.
+func KonigCover(g *Graph, m *Matching) (lefts, rights []int) {
+	seenL, seenR := alternatingReach(g, m)
+	for l := 0; l < g.NLeft(); l++ {
+		if !seenL[l] {
+			lefts = append(lefts, l)
+		}
+	}
+	for r := 0; r < g.NRight(); r++ {
+		if seenR[r] {
+			rights = append(rights, r)
+		}
+	}
+	return lefts, rights
+}
+
+// HallWitness returns, for a maximum matching m that leaves deficit > 0 left
+// vertices unmatched, a set S of left vertices violating Hall's condition:
+// |N(S)| = |S| - deficit. S is the set of left vertices reachable by
+// alternating paths from the free ones; its whole neighborhood is matched
+// into S. In the scheduling reading, S is a set of requests and N(S) the
+// "overloaded" slot set of the paper's Theorem 3.3 proof. With deficit 0 it
+// returns (nil, nil, 0).
+func HallWitness(g *Graph, m *Matching) (s, neighborhood []int, deficit int) {
+	for l := 0; l < g.NLeft(); l++ {
+		if m.L2R[l] == None {
+			deficit++
+		}
+	}
+	if deficit == 0 {
+		return nil, nil, 0
+	}
+	seenL, seenR := alternatingReach(g, m)
+	for l := 0; l < g.NLeft(); l++ {
+		if seenL[l] {
+			s = append(s, l)
+		}
+	}
+	for r := 0; r < g.NRight(); r++ {
+		if seenR[r] {
+			neighborhood = append(neighborhood, r)
+		}
+	}
+	return s, neighborhood, deficit
+}
+
 func TestKonigCoverSizeEqualsMatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 200; trial++ {

@@ -1,31 +1,19 @@
 package matching
 
-// Kuhn computes a maximum matching by augmenting from every left vertex in
-// ascending index order, exploring right neighbors in adjacency (insertion)
-// order. The result is deterministic: among all maximum matchings it is the
-// one reached by this fixed search order, which the adversarial constructions
-// rely on (requests list their "preferred" alternative first).
-func Kuhn(g *Graph) *Matching {
-	m := NewMatching(g.NLeft(), g.NRight())
-	a := newAugmenter(g)
-	for l := 0; l < g.NLeft(); l++ {
-		a.augmentFromLeft(m, l)
-	}
-	return m
-}
-
 // ExtendFromLeft augments m from each listed free left vertex in the given
-// order. Left vertices that are already matched are skipped. It returns the
-// number of successful augmentations. Matched vertices are never unmatched by
-// augmentation, so any "already scheduled" invariant is preserved.
-func ExtendFromLeft(g *Graph, m *Matching, order []int) int {
-	a := newAugmenter(g)
+// order, in Kuhn's style: one augmenting-path search per vertex, exploring
+// right neighbors in adjacency (insertion) order. Left vertices that are
+// already matched are skipped. It returns the number of successful
+// augmentations. Matched vertices are never unmatched by augmentation, so any
+// "already scheduled" invariant is preserved.
+func (sc *Scratch) ExtendFromLeft(g *Graph, m *Matching, order []int) int {
+	sc.aug.bind(g)
 	gained := 0
 	for _, l := range order {
 		if m.L2R[l] != None {
 			continue
 		}
-		if a.augmentFromLeft(m, l) {
+		if sc.aug.augmentFromLeft(m, l) {
 			gained++
 		}
 	}
@@ -37,14 +25,14 @@ func ExtendFromLeft(g *Graph, m *Matching, order []int) int {
 // weight-class (transversal matroid) greedy: processing right vertices in
 // descending weight order yields a maximum matching whose matched right set
 // has maximum weight.
-func ExtendFromRight(g *Graph, m *Matching, order []int) int {
-	a := newAugmenter(g)
+func (sc *Scratch) ExtendFromRight(g *Graph, m *Matching, order []int) int {
+	sc.aug.bind(g)
 	gained := 0
 	for _, r := range order {
 		if m.R2L[r] != None {
 			continue
 		}
-		if a.augmentFromRight(m, r) {
+		if sc.aug.augmentFromRight(m, r) {
 			gained++
 		}
 	}
@@ -61,12 +49,6 @@ type augmenter struct {
 	stamp int
 	seenL []int // stamp when left vertex was visited
 	seenR []int // stamp when right vertex was visited
-}
-
-func newAugmenter(g *Graph) *augmenter {
-	a := &augmenter{}
-	a.bind(g)
-	return a
 }
 
 // bind points the augmenter at g, growing the mark arrays as needed.

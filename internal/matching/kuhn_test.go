@@ -90,59 +90,6 @@ func TestKuhnPrefersFirstListedNeighbor(t *testing.T) {
 	}
 }
 
-func TestKuhnEqualsHopcroftKarpEqualsBruteRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		nl := 1 + rng.Intn(9)
-		nr := 1 + rng.Intn(9)
-		g := randomGraph(rng, nl, nr, 0.3)
-		want := BruteMaximumSize(g)
-		if got := Kuhn(g).Size(); got != want {
-			t.Fatalf("trial %d: Kuhn %d != brute %d", trial, got, want)
-		}
-		if got := HopcroftKarp(g).Size(); got != want {
-			t.Fatalf("trial %d: HK %d != brute %d", trial, got, want)
-		}
-		if got := MaxMatchingByFlow(g); got != want {
-			t.Fatalf("trial %d: flow %d != brute %d", trial, got, want)
-		}
-	}
-}
-
-func TestKuhnEqualsHopcroftKarpLargeRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 60, 50, 0.08)
-		k := Kuhn(g)
-		h := HopcroftKarp(g)
-		if k.Size() != h.Size() {
-			t.Fatalf("trial %d: Kuhn %d != HK %d", trial, k.Size(), h.Size())
-		}
-		if err := Verify(g, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(g, h); err != nil {
-			t.Fatal(err)
-		}
-		if f := MaxMatchingByFlow(g); f != k.Size() {
-			t.Fatalf("trial %d: flow %d != %d", trial, f, k.Size())
-		}
-	}
-}
-
-func TestKuhnTwoChoiceGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		g := twoChoiceGraph(rng, 40, 6, 4)
-		k := Kuhn(g).Size()
-		h := HopcroftKarp(g).Size()
-		f := MaxMatchingByFlow(g)
-		if k != h || k != f {
-			t.Fatalf("trial %d: kuhn=%d hk=%d flow=%d", trial, k, h, f)
-		}
-	}
-}
-
 func TestGreedyMaximalAtLeastHalf(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -186,7 +133,7 @@ func TestExtendFromLeftPreservesMatched(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		ExtendFromLeft(g, m, order)
+		new(Scratch).ExtendFromLeft(g, m, order)
 		for l := range before {
 			if m.L2R[l] == None {
 				t.Fatalf("trial %d: augmentation unmatched left %d", trial, l)
@@ -208,7 +155,7 @@ func TestHopcroftKarpExtendFromPartial(t *testing.T) {
 		g := randomGraph(rng, 15, 15, 0.25)
 		m := GreedyMaximal(g)
 		seedSize := m.Size()
-		gained := HopcroftKarpExtend(g, m)
+		gained := new(Scratch).HopcroftKarpExtend(g, m)
 		if m.Size() != seedSize+gained {
 			t.Fatalf("gained accounting wrong: %d + %d != %d", seedSize, gained, m.Size())
 		}
@@ -284,14 +231,16 @@ func ExampleHopcroftKarp() {
 	// Output: 3
 }
 
-func ExampleLexMax() {
+func ExampleScratch_LexMaxExtend() {
 	// Two requests, two slot classes: the lexicographic greedy covers the
 	// class-0 slot even though a plain maximum matching might not.
 	g := NewGraph(2, 2)
 	g.AddEdge(0, 0) // request 0 can use the early slot...
 	g.AddEdge(0, 1) // ...or the late one
 	g.AddEdge(1, 1) // request 1 only the late one
-	m := LexMax(g, []int32{0, 1})
+	m := NewMatching(2, 2)
+	var sc Scratch
+	sc.LexMaxExtend(g, m, []int32{0, 1})
 	fmt.Println(m.L2R[0], m.L2R[1])
 	// Output: 0 1
 }

@@ -33,6 +33,13 @@ func padTo(v []int, n int) []int {
 	return v
 }
 
+// lexMax runs the weight-class greedy from an empty matching.
+func lexMax(g *Graph, classOf []int32) *Matching {
+	m := NewMatching(g.NLeft(), g.NRight())
+	new(Scratch).LexMaxExtend(g, m, classOf)
+	return m
+}
+
 func TestLexMaxMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 300; trial++ {
@@ -42,7 +49,7 @@ func TestLexMaxMatchesBruteForce(t *testing.T) {
 		g := randomGraph(rng, nl, nr, 0.35)
 		classOf := randomClasses(rng, nr, nClasses)
 
-		got := LexMax(g, classOf)
+		got := lexMax(g, classOf)
 		if err := Verify(g, got); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +70,7 @@ func TestLexMaxIsMaximumCardinality(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 25, 25, 0.15)
 		classOf := randomClasses(rng, 25, 5)
-		if LexMax(g, classOf).Size() != HopcroftKarp(g).Size() {
+		if lexMax(g, classOf).Size() != HopcroftKarp(g).Size() {
 			t.Fatalf("trial %d: LexMax not maximum", trial)
 		}
 	}
@@ -81,7 +88,7 @@ func TestLexMaxExtendPreservesMatchedRights(t *testing.T) {
 				matchedR[r] = true
 			}
 		}
-		LexMaxExtend(g, m, classOf)
+		new(Scratch).LexMaxExtend(g, m, classOf)
 		for r := range matchedR {
 			if m.R2L[r] == None {
 				t.Fatalf("trial %d: extension freed right %d", trial, r)
@@ -108,7 +115,7 @@ func TestCoverLeftRestoresCoverage(t *testing.T) {
 			}
 		}
 		classOf := randomClasses(rng, nr, 3)
-		m := LexMax(g, classOf)
+		m := lexMax(g, classOf)
 		beforeSize := m.Size()
 		beforeVec := ClassCounts(m, classOf)
 
@@ -144,58 +151,9 @@ func TestCoverLeftNoopWhenAlreadyCovered(t *testing.T) {
 	}
 }
 
-func TestImproveEarlinessMatchesLexMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 300; trial++ {
-		nl := 1 + rng.Intn(8)
-		nr := 1 + rng.Intn(8)
-		nClasses := 1 + rng.Intn(4)
-		g := randomGraph(rng, nl, nr, 0.35)
-		classOf := randomClasses(rng, nr, nClasses)
-
-		// Incremental route: arbitrary maximum matching, then exchanges.
-		m := HopcroftKarp(g)
-		ImproveEarliness(g, m, classOf)
-		if err := Verify(g, m); err != nil {
-			t.Fatal(err)
-		}
-
-		want := BruteLexMax(g, classOf)
-		if m.Size() != want.Size() {
-			t.Fatalf("trial %d: exchange lost cardinality %d vs %d", trial, m.Size(), want.Size())
-		}
-		gv := padTo(ClassCounts(m, classOf), nClasses)
-		wv := padTo(ClassCounts(want, classOf), nClasses)
-		if lexCompare(gv, wv) != 0 {
-			t.Fatalf("trial %d: exchange vector %v != brute %v", trial, gv, wv)
-		}
-	}
-}
-
-func TestImproveEarlinessKeepsLeftSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 100; trial++ {
-		g := randomGraph(rng, 12, 12, 0.3)
-		classOf := randomClasses(rng, 12, 4)
-		m := HopcroftKarp(g)
-		before := map[int]bool{}
-		for l, r := range m.L2R {
-			if r != None {
-				before[l] = true
-			}
-		}
-		ImproveEarliness(g, m, classOf)
-		for l := range before {
-			if m.L2R[l] == None {
-				t.Fatalf("trial %d: exchange unmatched left %d", trial, l)
-			}
-		}
-	}
-}
-
 func TestRightsByClassStableCountingSort(t *testing.T) {
 	classOf := []int32{2, 0, 1, 0, 2, 1}
-	got := rightsByClass(classOf)
+	got, _ := rightsByClass(nil, nil, classOf)
 	want := []int{1, 3, 2, 5, 0, 4}
 	for i := range want {
 		if got[i] != want[i] {

@@ -2,11 +2,11 @@ package matching
 
 // CostFlowNetwork is a min-cost max-flow network solved by successive
 // shortest augmenting paths (Bellman–Ford/SPFA, which tolerates the negative
-// reduced costs that appear with zero initial potentials). It provides an
-// independent weighted cross-check for the lexicographic matching objective:
-// encoding class weights as costs and solving MCMF must reproduce the class
-// counts of the matroid greedy (validated in tests on small instances where
-// the weights fit in int64).
+// reduced costs that appear with zero initial potentials). It backs
+// MinCostMatchingLR (the min-latency optimum) and MaxProfitMatching (the
+// weighted optimum). The tests also use it as an independent weighted
+// cross-check of the lexicographic objective: encoding class weights as
+// costs must reproduce the class counts of the matroid greedy.
 type CostFlowNetwork struct {
 	n    int
 	head []int32
@@ -102,21 +102,15 @@ func (f *CostFlowNetwork) MinCostMaxFlow(s, t int) (flow int, cost int64) {
 	}
 }
 
-// MinCostMatching computes a maximum matching of g minimizing the total cost
-// of matched right vertices, where rightCost[r] is the cost of covering right
-// vertex r. Returns the matching. Because all max flows have the same value,
-// the solver maximizes cardinality first and minimizes cost second — exactly
-// the "among maximum matchings prefer cheap slots" shape the strategies need.
-func MinCostMatching(g *Graph, rightCost []int64) *Matching {
-	return MinCostMatchingLR(g, nil, rightCost)
-}
-
-// MinCostMatchingLR generalizes MinCostMatching to costs on both sides: among
-// maximum matchings it minimizes the sum of leftCost[l] + rightCost[r] over
-// matched pairs (l, r). A nil leftCost means all zeros. Left costs may be
-// negative (the initial residual network is acyclic, so successive shortest
-// paths remain correct); this is what lets the min-latency objective charge
-// each pair its true latency t − arrive instead of the slot round alone.
+// MinCostMatchingLR computes a maximum matching of g minimizing the sum of
+// leftCost[l] + rightCost[r] over its matched pairs (l, r). Because all max
+// flows have the same value, the solver maximizes cardinality first and
+// minimizes cost second — exactly the "among maximum matchings prefer cheap
+// slots" shape the strategies need. A nil leftCost means all zeros. Left
+// costs may be negative (the initial residual network is acyclic, so
+// successive shortest paths remain correct); this is what lets the
+// min-latency objective charge each pair its true latency t − arrive instead
+// of the slot round alone.
 func MinCostMatchingLR(g *Graph, leftCost, rightCost []int64) *Matching {
 	nl, nr := g.NLeft(), g.NRight()
 	s := nl + nr

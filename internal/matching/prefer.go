@@ -18,21 +18,17 @@ package matching
 // Cardinality, the covered set of class vertices, and the per-class coverage
 // counts are all preserved; matched left vertices stay matched (so previously
 // scheduled requests remain scheduled). Returns the number of swaps.
-func PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
+func (sc *Scratch) PreferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32) int {
+	sc.seenLB = ensureBools(sc.seenLB, g.NLeft())
+	sc.seenRB = ensureBools(sc.seenRB, g.NRight())
 	a := &avoidDFS{
 		g:       g,
 		m:       m,
 		classOf: classOf,
 		avoid:   class,
-		seenL:   make([]bool, g.NLeft()),
-		seenR:   make([]bool, g.NRight()),
+		seenL:   sc.seenLB[:g.NLeft()],
+		seenR:   sc.seenRB[:g.NRight()],
 	}
-	return preferLowAtClass(g, m, classOf, class, a)
-}
-
-// preferLowAtClass is the exchange loop shared by PreferLowAtClass and
-// Scratch.PreferLowAtClass; a carries the (possibly reused) search marks.
-func preferLowAtClass(g *Graph, m *Matching, classOf []int32, class int32, a *avoidDFS) int {
 	swaps := 0
 	for l := 0; l < g.NLeft(); l++ {
 		cur := m.L2R[l]

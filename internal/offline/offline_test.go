@@ -7,6 +7,7 @@ import (
 
 	"reqsched/internal/core"
 	"reqsched/internal/matching"
+	"reqsched/internal/matching/matchtest"
 )
 
 // randomTrace builds a random two-choice trace.
@@ -86,7 +87,7 @@ func TestOptimumEqualsFlowCrossCheck(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		tr := randomTrace(rng, 2+rng.Intn(5), 1+rng.Intn(4), 1+rng.Intn(8), 6)
 		hk := Optimum(tr)
-		fl := OptimumByFlow(tr)
+		fl := matchtest.MaxMatchingByFlow(BuildGraph(tr))
 		if hk != fl {
 			t.Fatalf("trial %d: HK %d != flow %d", trial, hk, fl)
 		}

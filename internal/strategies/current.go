@@ -1,6 +1,9 @@
 package strategies
 
-import "reqsched/internal/core"
+import (
+	"reqsched/internal/core"
+	"reqsched/internal/matching"
+)
 
 // Current implements A_current: every round, a maximum matching is computed
 // between all live unfulfilled requests and the n time slots of the *current*
@@ -50,7 +53,7 @@ func buildCurrentRoundGraph(sc *roundScratch, w *core.Window, reqs []*core.Reque
 	wg.t = w.Round()
 	wg.depth = w.Depth()
 	if wg.g == nil {
-		wg.g = newCurrentGraph(len(reqs), slots(w))
+		wg.g = matching.NewGraph(len(reqs), slots(w))
 	} else {
 		wg.g.Reset(len(reqs), slots(w))
 	}

@@ -121,7 +121,10 @@ func (sc *roundScratch) emptyMatching() *matching.Matching {
 	return &sc.m
 }
 
-// roundClasses is winGraph.roundClasses writing into the scratch buffer.
+// roundClasses returns the weight-class vector used by the balance
+// strategies, in the scratch buffer: slot class = rounds-from-now, so class 0
+// (the current round) is the most preferred. maxClass caps the classes
+// (A_eager uses 2: "now" vs "later").
 func (sc *roundScratch) roundClasses(maxClass int) []int32 {
 	stride := sc.wg.n * sc.wg.capc
 	n := sc.wg.depth * stride
@@ -140,8 +143,10 @@ func (sc *roundScratch) roundClasses(maxClass int) []int32 {
 	return sc.classOf
 }
 
-// coverMatching is winGraph.coverMatching reusing the scratch cover matching
-// and request-index map.
+// coverMatching converts a window snapshot into the scratch cover matching of
+// the scratch graph (the inherited schedule), for use with
+// matching.CoverLeft. Requests in the snapshot that are not in the graph
+// (already served) are skipped.
 func (sc *roundScratch) coverMatching(snapshot []core.Assignment) *matching.Matching {
 	if sc.index == nil {
 		sc.index = make(map[int]int, len(sc.wg.reqs))
@@ -178,66 +183,6 @@ func (sc *roundScratch) identOrder(n int) []int {
 		sc.order[i] = i
 	}
 	return sc.order
-}
-
-// roundClasses returns the weight-class vector used by the balance
-// strategies: slot class = rounds-from-now, so class 0 (the current round) is
-// the most preferred. maxClass caps the classes (A_eager uses 2: "now" vs
-// "later").
-func (wg *winGraph) roundClasses(maxClass int) []int32 {
-	stride := wg.n * wg.capc
-	classOf := make([]int32, wg.depth*stride)
-	for idx := range classOf {
-		c := idx / stride
-		if c >= maxClass {
-			c = maxClass - 1
-		}
-		classOf[idx] = int32(c)
-	}
-	return classOf
-}
-
-// coverMatching converts a window snapshot into a matching of wg (the
-// inherited schedule), for use with matching.CoverLeft. Requests in the
-// snapshot that are not in reqs (already served) are skipped.
-func (wg *winGraph) coverMatching(snapshot []core.Assignment) *matching.Matching {
-	index := make(map[int]int, len(wg.reqs))
-	for li, r := range wg.reqs {
-		index[r.ID] = li
-	}
-	m := matching.NewMatching(wg.g.NLeft(), wg.g.NRight())
-	prev, unit := [2]int{-1, -1}, 0
-	for _, a := range snapshot {
-		if key := [2]int{a.Res, a.Round}; key != prev {
-			prev, unit = key, 0
-		}
-		if li, ok := index[a.Req.ID]; ok {
-			m.Match(li, wg.slotIdx(a.Res, a.Round)+unit)
-		}
-		unit++
-	}
-	return m
-}
-
-// newCurrentGraph returns an empty graph sized like a window graph; used by
-// A_current, which only adds current-round edges.
-func newCurrentGraph(nLeft, nRight int) *matching.Graph {
-	return matching.NewGraph(nLeft, nRight)
-}
-
-// newEmptyMatching returns an empty matching sized for wg.
-func newEmptyMatching(wg *winGraph) *matching.Matching {
-	return matching.NewMatching(wg.g.NLeft(), wg.g.NRight())
-}
-
-// extendFromLeft augments m from the listed left vertices in order.
-func extendFromLeft(wg *winGraph, m *matching.Matching, order []int) int {
-	return matching.ExtendFromLeft(wg.g, m, order)
-}
-
-// lexMax computes the weight-class greedy maximum matching of wg.
-func lexMax(wg *winGraph, classOf []int32) *matching.Matching {
-	return matching.LexMax(wg.g, classOf)
 }
 
 // apply writes matched pairs into the window. Requests already assigned in w

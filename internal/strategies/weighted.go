@@ -38,12 +38,13 @@ func (*FixWeighted) Round(ctx *core.RoundContext) {
 		return reqs[a].ID < reqs[b].ID
 	})
 	wg := buildGraph(ctx.W, reqs, true)
-	m := newEmptyMatching(wg)
+	m := matching.NewMatching(wg.g.NLeft(), wg.g.NRight())
 	order := make([]int, len(reqs))
 	for i := range order {
 		order[i] = i
 	}
-	extendFromLeft(wg, m, order)
+	var ms matching.Scratch
+	ms.ExtendFromLeft(wg.g, m, order)
 	wg.apply(ctx.W, m)
 }
 

@@ -29,12 +29,12 @@ type Entry struct {
 	ProvenUB float64
 }
 
-// Measured returns the empirical ratio OPT/ALG.
+// Measured returns the empirical ratio OPT/ALG under the ratio package's
+// convention: +Inf when the strategy served nothing of a non-empty optimum,
+// 1 when both are zero. A starved row therefore exceeds every proven upper
+// bound and renders as VIOLATED.
 func (e Entry) Measured() float64 {
-	if e.ALG == 0 {
-		return 0
-	}
-	return float64(e.OPT) / float64(e.ALG)
+	return ratio.Measurement{OPT: e.OPT, ALG: e.ALG}.Ratio()
 }
 
 // Config controls the reproduction's scale.

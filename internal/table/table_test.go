@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -95,9 +96,17 @@ func TestFormatAlignsAndFlagsViolations(t *testing.T) {
 }
 
 func TestEntryMeasuredZeroALG(t *testing.T) {
-	e := Entry{OPT: 5, ALG: 0}
-	if e.Measured() != 0 {
-		t.Fatal("zero ALG should measure 0 (sentinel)")
+	// A row that served nothing of a non-empty optimum has an unbounded
+	// ratio, so it must fail its upper bound rather than pass as 0.
+	e := Entry{Row: "starved", OPT: 5, ALG: 0, ProvenUB: 2}
+	if !math.IsInf(e.Measured(), 1) {
+		t.Fatalf("zero ALG measured %v, want +Inf", e.Measured())
+	}
+	if out := Format([]Entry{e}); !strings.Contains(out, "VIOLATED") {
+		t.Fatalf("starved row not flagged:\n%s", out)
+	}
+	if got := (Entry{}).Measured(); got != 1 {
+		t.Fatalf("empty row measured %v, want 1", got)
 	}
 }
 
