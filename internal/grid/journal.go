@@ -101,8 +101,9 @@ func (r Record) Verify() error {
 type JournalScan struct {
 	// Lines counts the newline-terminated lines examined.
 	Lines int
-	// Skipped counts terminated lines that failed to parse or verify —
-	// on-disk corruption; their jobs are simply re-run.
+	// Skipped counts terminated lines that failed to parse or verify, or
+	// were longer than trace.MaxLineBytes — on-disk corruption; their jobs
+	// are simply re-run.
 	Skipped int
 	// TornOffset is the byte offset of a truncated final line (a crash
 	// mid-append), or -1. Resume truncates the file there: the torn tail is
@@ -120,7 +121,7 @@ func ReadJournal(r io.Reader) ([]Record, JournalScan, error) {
 	br := bufio.NewReader(r)
 	var off int64
 	for {
-		line, next, err := trace.ScanJSONLine(br, off)
+		line, next, err := trace.ScanJSONLineSlice(br, off)
 		if err == io.EOF {
 			return recs, scan, nil
 		}
@@ -129,13 +130,14 @@ func ReadJournal(r io.Reader) ([]Record, JournalScan, error) {
 			scan.TornOffset = torn.Offset
 			return recs, scan, nil
 		}
-		if err != nil {
+		var tooLong *trace.LineTooLong
+		if err != nil && !errors.As(err, &tooLong) {
 			return recs, scan, fmt.Errorf("grid: journal read: %w", err)
 		}
 		off = next
 		scan.Lines++
 		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.Verify() != nil {
+		if tooLong != nil || json.Unmarshal(line, &rec) != nil || rec.Verify() != nil {
 			scan.Skipped++
 			continue
 		}

@@ -2,12 +2,15 @@ package grid
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"reqsched/internal/ratio"
+	"reqsched/internal/trace"
 )
 
 func sampleRecord(id string, opt, alg int) Record {
@@ -133,6 +136,33 @@ func TestReadJournalSkipsCorruptTerminatedLines(t *testing.T) {
 	}
 	if scan.Skipped != 3 || scan.TornOffset >= 0 {
 		t.Fatalf("scan = %+v, want 3 skipped and no torn tail", scan)
+	}
+}
+
+// TestReadJournalSkipsOverlongLines: a line past trace.MaxLineBytes is
+// corruption like any other — skipped and counted, with the records around
+// it intact.
+func TestReadJournalSkipsOverlongLines(t *testing.T) {
+	b, _ := json.Marshal(sampleRecord("after", 9, 8))
+	in := strings.Repeat("x", trace.MaxLineBytes+1) + "\n" + string(b) + "\n"
+	recs, scan, err := ReadJournal(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != "after" || scan.Lines != 2 || scan.Skipped != 1 {
+		t.Fatalf("recs = %+v, scan = %+v; want the record after one skipped line", recs, scan)
+	}
+}
+
+// TestWorkerMainRejectsOverlongLine: the worker fails with the scanner's
+// *trace.LineTooLong instead of buffering an unbounded stdin line.
+func TestWorkerMainRejectsOverlongLine(t *testing.T) {
+	in := strings.Repeat("x", trace.MaxLineBytes+1) + "\n"
+	var out strings.Builder
+	err := WorkerMain(strings.NewReader(in), &out, time.Second, nil)
+	var tooLong *trace.LineTooLong
+	if !errors.As(err, &tooLong) || tooLong.Offset != 0 {
+		t.Fatalf("WorkerMain on an overlong line: %v, want *trace.LineTooLong at 0", err)
 	}
 }
 

@@ -103,7 +103,7 @@ func WorkerMain(in io.Reader, out io.Writer, hbInterval time.Duration, flt *chao
 	br := bufio.NewReader(in)
 	var off int64
 	for jobIndex := 0; ; jobIndex++ {
-		line, next, err := trace.ScanJSONLine(br, off)
+		line, next, err := trace.ScanJSONLineSlice(br, off)
 		if err != nil {
 			var torn *trace.TornTail
 			if err == io.EOF || errors.As(err, &torn) {

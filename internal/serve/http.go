@@ -67,7 +67,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	accepted := 0
 	fail := func(status int, lineOff int64, format string, args ...any) {
 		rep := ingestReply{Accepted: accepted, Error: fmt.Sprintf(format, args...)}
-		if status == http.StatusBadRequest {
+		if status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge {
 			rep.Offset = &lineOff
 		}
 		if status == http.StatusTooManyRequests {
@@ -142,7 +142,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sawHeader := false
 	index := 0
 	for {
-		line, next, err := trace.ScanJSONLine(br, off)
+		line, next, err := trace.ScanJSONLineSlice(br, off)
 		if err == io.EOF {
 			break
 		}
@@ -159,25 +159,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				fail(http.StatusBadRequest, torn.Offset, "torn final line (no newline)")
 				return
 			}
+			// A line past trace.MaxLineBytes was discarded without being
+			// buffered; ingest stops there, as for any rejected line.
+			if long, ok := err.(*trace.LineTooLong); ok {
+				fail(http.StatusRequestEntityTooLarge, long.Offset,
+					"line longer than %d bytes", trace.MaxLineBytes)
+				return
+			}
 			fail(http.StatusBadRequest, off, "read: %v", err)
 			return
 		}
 		lineOff := off
 		off = next
-		if !sawHeader && index == 0 {
-			// A leading stream header is allowed (so a trace file POSTs
-			// verbatim) but must match the daemon's contract.
-			if n, d, ok := parseHeader(line); ok {
-				sawHeader = true
-				if n != s.cfg.N || d != s.cfg.D {
-					fail(http.StatusBadRequest, lineOff,
-						"stream header n=%d d=%d does not match server n=%d d=%d",
-						n, d, s.cfg.N, s.cfg.D)
-					return
-				}
-				continue
-			}
-		}
 		// Extend by one slot, reviving a previous batch's slot (and its Alts
 		// buffer) when capacity allows.
 		if len(batch.recs) < cap(batch.recs) {
@@ -187,6 +180,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := trace.DecodeStreamRecordInto(&batch.recs[len(batch.recs)-1], line, s.cfg.N, s.cfg.D, index); err != nil {
 			batch.recs = batch.recs[:len(batch.recs)-1]
+			// A leading stream header is allowed (so a trace file POSTs
+			// verbatim) but must match the daemon's contract. Only a line
+			// that is not a record can be one, so the header parse stays
+			// off the per-record path.
+			if !sawHeader && index == 0 {
+				if n, d, ok := parseHeader(line); ok {
+					sawHeader = true
+					if n != s.cfg.N || d != s.cfg.D {
+						fail(http.StatusBadRequest, lineOff,
+							"stream header n=%d d=%d does not match server n=%d d=%d",
+							n, d, s.cfg.N, s.cfg.D)
+						return
+					}
+					continue
+				}
+			}
 			if rec, failOff, v := admit(); v != admitOK {
 				failVerdict(rec, failOff, v)
 				return
@@ -212,7 +221,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseHeader reports whether line is a bare stream header — an object with
-// "n" and no "alts". Records always carry "alts", so the two cannot collide.
+// "n" and no "alts" (absent or null). A record needs at least one
+// alternative, so no line is both.
 func parseHeader(line []byte) (n, d int, ok bool) {
 	var h struct {
 		N    int   `json:"n"`

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -286,6 +287,51 @@ func TestMalformedLineOffset(t *testing.T) {
 	if code != http.StatusBadRequest || rep.Accepted != 1 || rep.Offset == nil || *rep.Offset != int64(len(good)) {
 		t.Fatalf("torn tail: status %d accepted %d offset %v", code, rep.Accepted, rep.Offset)
 	}
+}
+
+// byteRepeater is an endless stream of one byte.
+type byteRepeater byte
+
+func (b byteRepeater) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestIngestLineTooLong pins the line cap: a 64 MiB body with no newline is
+// answered 413 naming the line's offset, and the daemon discards the line
+// rather than buffer it — the whole exchange, client included, allocates far
+// less than the body.
+func TestIngestLineTooLong(t *testing.T) {
+	_, ts := newServer(t, serve.Config{N: 2, D: 2, Virtual: true})
+	good := `{"alts":[0,1]}` + "\n"
+	body := io.MultiReader(strings.NewReader(good), io.LimitReader(byteRepeater('x'), 64<<20))
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	resp, err := http.Post(ts.URL+"/v1/requests", "application/jsonl", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep ingestReply
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatalf("ingest reply: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if rep.Accepted != 1 || rep.Offset == nil || *rep.Offset != int64(len(good)) {
+		t.Fatalf("accepted %d offset %v, want 1 and %d", rep.Accepted, rep.Offset, len(good))
+	}
+	grew := m1.TotalAlloc - m0.TotalAlloc
+	if grew >= 8<<20 {
+		t.Fatalf("a 64 MiB line allocated %d bytes, want < 8 MiB", grew)
+	}
+	t.Logf("a 64 MiB line allocated %d bytes", grew)
 }
 
 // TestVirtualOutOfOrder pins the virtual-clock ordering contract: a record

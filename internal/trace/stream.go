@@ -160,38 +160,106 @@ func (e *TornTail) Error() string {
 	return fmt.Sprintf("trace: torn final JSONL line at byte offset %d (truncated write)", e.Offset)
 }
 
-// ScanJSONLine reads one newline-terminated line from r, where off is the
-// byte offset of the line's start. It returns the line with its terminator
-// stripped (without diagnosing its JSON), the offset just past its newline,
-// io.EOF on a clean end of input (only whitespace remained), or a *TornTail
-// when the input ends in an unterminated line. A trailing "\r" before the
-// newline is stripped too, so CRLF streams (curl from Windows, text-mode
-// file transfers) parse identically to LF ones; offsets always count the
-// raw bytes consumed, so torn-tail truncation points stay exact. It is the
-// shared low-level scanner of the trace stream reader and the grid
-// checkpoint journal.
-func ScanJSONLine(r *bufio.Reader, off int64) (line []byte, next int64, err error) {
+// MaxLineBytes caps the length of one JSONL line, not counting its newline.
+// Records, journal entries and worker messages are a few hundred bytes at
+// most; the cap keeps a client that never sends a newline from making the
+// reader buffer without limit.
+const MaxLineBytes = 1 << 20
+
+// LineTooLong reports a JSONL line longer than MaxLineBytes. The scanner
+// discards the line through its newline (or the end of input) without
+// buffering it; Offset is the byte offset at which the line starts.
+type LineTooLong struct {
+	Offset int64
+}
+
+func (e *LineTooLong) Error() string {
+	return fmt.Sprintf("trace: JSONL line at byte offset %d is longer than %d bytes", e.Offset, MaxLineBytes)
+}
+
+// ScanJSONLineSlice reads one newline-terminated line from r, where off is
+// the byte offset of the line's start. It returns the line with its
+// terminator stripped (without diagnosing its JSON), the offset just past its
+// newline, io.EOF on a clean end of input (only whitespace remained), a
+// *TornTail when the input ends in an unterminated line, or a *LineTooLong
+// (with next past the discarded line) when the line is longer than
+// MaxLineBytes. A trailing "\r" before the newline is stripped too, so CRLF
+// streams (curl from Windows, text-mode file transfers) parse identically to
+// LF ones; offsets always count the raw bytes consumed, so torn-tail
+// truncation points stay exact. It is the shared low-level scanner of the
+// trace stream reader, the serve daemon's ingest, the grid checkpoint journal
+// and the grid worker's input.
+//
+// The line aliases r's buffer and is valid only until the next read from r:
+// callers decode it before scanning on. Only a line longer than r's buffer is
+// copied.
+func ScanJSONLineSlice(r *bufio.Reader, off int64) (line []byte, next int64, err error) {
 	for {
-		line, err = r.ReadBytes('\n')
-		next = off + int64(len(line))
+		var size int64
+		line, size, err = readLine(r)
+		next = off + size
+		if err != nil && err != io.EOF {
+			return nil, next, err
+		}
+		content := size
+		if err == nil {
+			content-- // the newline
+		}
+		if content > MaxLineBytes {
+			return nil, next, &LineTooLong{Offset: off}
+		}
 		blank := len(bytes.TrimSpace(line)) == 0
 		if err == nil {
 			if blank { // skip whitespace-only lines between records
 				off = next
 				continue
 			}
-			line = bytes.TrimSuffix(line, []byte("\n"))
+			line = line[:len(line)-1]
 			line = bytes.TrimSuffix(line, []byte("\r"))
 			return line, next, nil
 		}
-		if err == io.EOF {
-			if blank {
-				return nil, next, io.EOF
-			}
-			return nil, next, &TornTail{Offset: off}
+		if blank {
+			return nil, next, io.EOF
 		}
-		return nil, next, err
+		return nil, next, &TornTail{Offset: off}
 	}
+}
+
+// readLine reads through the next newline, returning the raw line (aliasing
+// r's buffer unless it is longer than the buffer) and the number of bytes
+// consumed. A line that outgrows MaxLineBytes is consumed but no longer
+// copied; its length tells the caller to reject it.
+func readLine(r *bufio.Reader) (line []byte, size int64, err error) {
+	line, err = r.ReadSlice('\n')
+	size = int64(len(line))
+	if err != bufio.ErrBufferFull {
+		return line, size, err
+	}
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		size += int64(len(line))
+		if size > MaxLineBytes+1 {
+			continue
+		}
+		// Double the copy, where append would grow a large slice by a
+		// quarter: a line at the cap then costs about twice its size in
+		// allocations, not five times.
+		if len(long)+len(line) > cap(long) {
+			grown := make([]byte, len(long), min(2*cap(long)+len(line), MaxLineBytes+1))
+			copy(grown, long)
+			long = grown
+		}
+		long = append(long, line...)
+	}
+	return long, size, err
+}
+
+// ScanJSONLine is ScanJSONLineSlice for callers that keep lines past the
+// next read: the returned line is a copy the caller owns.
+func ScanJSONLine(r *bufio.Reader, off int64) (line []byte, next int64, err error) {
+	line, next, err = ScanJSONLineSlice(r, off)
+	return bytes.Clone(line), next, err
 }
 
 // StreamReader decodes a JSONL trace stream record by record, validating each
@@ -211,7 +279,7 @@ type StreamReader struct {
 // NewStreamReader reads and validates the stream header.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	sr := &StreamReader{r: bufio.NewReader(r)}
-	line, next, err := ScanJSONLine(sr.r, 0)
+	line, next, err := ScanJSONLineSlice(sr.r, 0)
 	if err != nil {
 		if err == io.EOF {
 			return nil, fmt.Errorf("trace: stream header: %w", io.ErrUnexpectedEOF)
@@ -252,7 +320,7 @@ func (sr *StreamReader) Offset() int64 { return sr.offset }
 // Next decodes and validates the next record. It returns io.EOF after the
 // last record, or a *TornTail if the stream ends in a truncated line.
 func (sr *StreamReader) Next() (StreamRecord, error) {
-	line, next, err := ScanJSONLine(sr.r, sr.offset)
+	line, next, err := ScanJSONLineSlice(sr.r, sr.offset)
 	if err != nil {
 		if err == io.EOF {
 			return StreamRecord{}, io.EOF
@@ -290,21 +358,23 @@ func DecodeStreamRecord(line []byte, n, d, index int) (StreamRecord, error) {
 }
 
 // DecodeStreamRecordInto is DecodeStreamRecord reusing out's Alts capacity:
-// the decoder appends into out.Alts[:0], so a hot ingest loop that copies
-// alternatives out of the record reaches zero allocations per line once the
-// buffer has grown to the widest record. On error the record fields are
+// the decoder writes the alternatives into out.Alts[:0], so a hot ingest loop
+// that copies alternatives out of the record reaches zero allocations per
+// line once the buffer has grown to the widest record. Only the capacity is
+// reused: what the buffer held before never shows through, so the record is
+// the one DecodeStreamRecord returns. On error the record fields are
 // unspecified, but the Alts buffer is retained for the next call.
 func DecodeStreamRecordInto(out *StreamRecord, line []byte, n, d, index int) error {
-	rec := fileRecord{Alts: out.Alts[:0]}
-	err := json.Unmarshal(line, &rec)
-	out.Alts = rec.Alts // keep the (possibly regrown) buffer either way
-	if err != nil {
-		return fmt.Errorf("trace: stream request %d: %w", index, err)
+	p := recordParser{s: line, buf: out.Alts[:0]}
+	rec, ok := p.record()
+	out.Alts = p.buf[:0] // keep the (possibly regrown) buffer either way
+	if !ok {
+		return fmt.Errorf("trace: stream request %d: %s at byte %d", index, p.msg, p.at)
 	}
 	if err := checkRecord(n, index, rec.T, rec.D, rec.Alts); err != nil {
 		return err
 	}
-	out.T, out.D, out.W = rec.T, rec.D, rec.W
+	out.T, out.D, out.W, out.Alts = rec.T, rec.D, rec.W, rec.Alts
 	if out.D == 0 {
 		out.D = d
 	}
