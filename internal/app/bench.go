@@ -3,14 +3,12 @@ package app
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"testing"
 	"time"
 
 	"reqsched"
@@ -20,275 +18,212 @@ import (
 	"reqsched/internal/workload"
 )
 
-// benchEntry is one strategy's measured baseline.
-type benchEntry struct {
-	Strategy       string  `json:"strategy"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	Fulfilled      int     `json:"fulfilled"`
+// benchFile is the file format of BENCH_engine.json: named sections, each one
+// workload timed through rows of one shape.
+type benchFile struct {
+	Sections []*benchSection `json:"sections"`
 }
 
-// benchOfflineEntry is one worker count's segmented-solver timing.
-type benchOfflineEntry struct {
-	Workers int     `json:"workers"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Speedup is monolithic ns / segmented ns at this worker count.
-	Speedup float64 `json:"speedup_vs_monolithic"`
+// benchSection is one workload and the rows timed on it. GOMAXPROCS records
+// the CPUs the rows ran on.
+type benchSection struct {
+	Name       string        `json:"name"`
+	Workload   benchWorkload `json:"workload"`
+	GOMAXPROCS int           `json:"gomaxprocs,omitempty"`
+	Rows       []benchRow    `json:"rows"`
 }
 
-// benchOffline records the segmented parallel offline optimum against the
-// monolithic Hopcroft–Karp solver on a gapped bursty trace (clean segment
-// cuts between bursts).
-type benchOffline struct {
-	Workload struct {
-		N         int     `json:"n"`
-		D         int     `json:"d"`
-		Rounds    int     `json:"rounds"`
-		On        int     `json:"on"`
-		Off       int     `json:"off"`
-		BurstRate float64 `json:"burst_rate"`
-		Seed      int64   `json:"seed"`
-		Requests  int     `json:"requests"`
-	} `json:"workload"`
-	Segments int `json:"segments"`
-	Optimum  int `json:"optimum"`
-	// GOMAXPROCS records the CPUs the timings ran on: with one visible CPU
-	// the speedup is algorithmic (many small matchings beat one monolithic
-	// run), not thread-level.
-	GOMAXPROCS   int                 `json:"gomaxprocs"`
-	MonolithicNs float64             `json:"monolithic_ns_per_op"`
-	Entries      []benchOfflineEntry `json:"entries"`
-}
-
-// benchWeighted records the segmented weighted offline solvers (max profit,
-// min latency) against their monolithic min-cost-flow counterparts on a
-// gapped bursty trace with harmonic request weights. The monolithic solvers
-// run successive shortest paths over the whole graph and scale superlinearly
-// in the trace, so they are timed once (reps=1) and the min-latency pair runs
-// on a tenth of the profit workload to keep the harness bounded.
-type benchWeighted struct {
-	Workload struct {
-		N         int     `json:"n"`
-		D         int     `json:"d"`
-		Rounds    int     `json:"rounds"`
-		On        int     `json:"on"`
-		Off       int     `json:"off"`
-		BurstRate float64 `json:"burst_rate"`
-		Seed      int64   `json:"seed"`
-		MaxW      int     `json:"max_weight"`
-		Requests  int     `json:"requests"`
-	} `json:"workload"`
-	Segments   int `json:"segments"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// MaxProfit section: the weighted optimum and per-worker-count timings.
-	Profit             int                 `json:"profit"`
-	ProfitMonolithicNs float64             `json:"profit_monolithic_ns_per_op"`
-	ProfitEntries      []benchOfflineEntry `json:"profit_entries"`
-	// MinLatency section, on a smaller slice of the same workload shape.
-	MinLatencyRequests     int                 `json:"min_latency_requests"`
-	MinLatency             int                 `json:"min_latency"`
-	MinLatencyMonolithicNs float64             `json:"min_latency_monolithic_ns_per_op"`
-	MinLatencyEntries      []benchOfflineEntry `json:"min_latency_entries"`
-}
-
-// benchWorkload describes the gapped bursty trace the offline-style sections
-// run on (bursts of `on` rounds at `burst_rate`, then `off` silent rounds, so
-// every burst is an independent segment).
-type benchWorkload struct {
-	N         int     `json:"n"`
-	D         int     `json:"d"`
-	Rounds    int     `json:"rounds"`
-	On        int     `json:"on"`
-	Off       int     `json:"off"`
-	BurstRate float64 `json:"burst_rate"`
-	Seed      int64   `json:"seed"`
-	Requests  int     `json:"requests"`
-}
-
-// benchIncremental records the incremental rolling optimum (one maintained
-// matching, one augmenting-path search per request, scratch reused across
-// segment seals) against the cold path the serve daemon used to run: a fresh
-// graph and Hopcroft–Karp solve per materialized segment sub-trace. One op is
-// a full pass over the trace; the alloc reduction is the headline — the
-// incremental path never rebuilds the graph.
-type benchIncremental struct {
-	// TargetRequests reproduces the section: the -incremental-requests value.
-	TargetRequests int           `json:"target_requests"`
-	Workload       benchWorkload `json:"workload"`
-	Segments       int           `json:"segments"`
-	Optimum        int           `json:"optimum"`
-	GOMAXPROCS     int           `json:"gomaxprocs"`
-	// Cold: offline.Optimum on each pre-materialized segment sub-trace.
-	ColdNsPerOp     float64 `json:"cold_ns_per_op"`
-	ColdAllocsPerOp int64   `json:"cold_allocs_per_op"`
-	ColdBytesPerOp  int64   `json:"cold_bytes_per_op"`
-	// Incremental: OptimumIncremental over the whole trace.
-	NsPerOp        float64 `json:"ns_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	SpeedupVsCold  float64 `json:"speedup_vs_cold"`
-	AllocReduction float64 `json:"alloc_reduction_vs_cold"`
-}
-
-// benchServeEntry is one serve-daemon configuration's measured ingest rate:
-// a full session — HTTP ingest of the whole JSONL stream, engine stepping
-// under the virtual clock, rolling-optimum worker, drain — per op.
-type benchServeEntry struct {
-	Mode           string  `json:"mode"`
-	NsPerRequest   float64 `json:"ns_per_request"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-}
-
-// benchServeIngest records end-to-end daemon ingest throughput.
-type benchServeIngest struct {
-	TargetRequests int               `json:"target_requests"`
-	Workload       benchWorkload     `json:"workload"`
-	Segments       int               `json:"segments"`
-	GOMAXPROCS     int               `json:"gomaxprocs"`
-	Entries        []benchServeEntry `json:"entries"`
-}
-
-// benchModelEntry is one service model's engine timing: the greedy router on
-// reusable-resource traffic sized to the model's capacity. One op is a full
-// trace run.
-type benchModelEntry struct {
-	Hold        int     `json:"hold"`
-	Cap         int     `json:"cap"`
-	Requests    int     `json:"requests"`
+// benchRow is one timed operation. Value is the operation's checked result —
+// fulfilled requests, OPT, profit or latency — so a faster row that computes
+// something else shows. A zero (absent) allocs_per_op or bytes_per_op, like a
+// section's absent gomaxprocs, marks a number an older recording did not take.
+type benchRow struct {
+	Key         string  `json:"key"`
 	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Fulfilled   int     `json:"fulfilled"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+	Value       int     `json:"value"`
 }
 
-// benchModelHold records the engine under hold=k service models — the
-// occupancy-tracking window path — against the unit-model hold=1 row, which
-// must stay on the historical zero-extra-alloc fast path.
-type benchModelHold struct {
-	TargetRequests int `json:"target_requests"`
-	Workload       struct {
-		N    int     `json:"n"`
-		D    int     `json:"d"`
-		Load float64 `json:"load"`
-		Seed int64   `json:"seed"`
-	} `json:"workload"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Entries    []benchModelEntry `json:"entries"`
+// benchWorkload describes the trace a section runs on. Kind names the
+// generator; fields the generator does not use are zero and omitted.
+// TargetRequests is the size flag the section ran at, so -check-regress can
+// rerun it at the same size.
+type benchWorkload struct {
+	Kind           string  `json:"kind"`
+	TargetRequests int     `json:"target_requests,omitempty"`
+	N              int     `json:"n"`
+	D              int     `json:"d"`
+	Rounds         int     `json:"rounds,omitempty"`
+	Rate           float64 `json:"rate,omitempty"`
+	On             int     `json:"on,omitempty"`
+	Off            int     `json:"off,omitempty"`
+	BurstRate      float64 `json:"burst_rate,omitempty"`
+	MaxWeight      int     `json:"max_weight,omitempty"`
+	Load           float64 `json:"load,omitempty"`
+	Seed           int64   `json:"seed"`
+	Requests       int     `json:"requests,omitempty"`
+	Segments       int     `json:"segments,omitempty"`
 }
 
-// benchBaseline is the file format of BENCH_engine.json.
-type benchBaseline struct {
-	Workload struct {
-		N        int     `json:"n"`
-		D        int     `json:"d"`
-		Rounds   int     `json:"rounds"`
-		Rate     float64 `json:"rate"`
-		Seed     int64   `json:"seed"`
-		Requests int     `json:"requests"`
-	} `json:"workload"`
-	Entries     []benchEntry      `json:"entries"`
-	Offline     *benchOffline     `json:"offline,omitempty"`
-	Weighted    *benchWeighted    `json:"weighted,omitempty"`
-	Incremental *benchIncremental `json:"incremental_opt,omitempty"`
-	ServeIngest *benchServeIngest `json:"serve_ingest,omitempty"`
-	ModelHold   *benchModelHold   `json:"model_hold,omitempty"`
-}
-
-// timeIt returns the fastest of reps timed runs of f in nanoseconds.
-func timeIt(reps int, f func()) float64 {
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		ns := float64(time.Since(start).Nanoseconds())
-		if best == 0 || ns < best {
-			best = ns
-		}
+// benchBursty builds the gapped bursty trace the offline, weighted,
+// incremental and serve sections share, sized to roughly requests requests:
+// bursts of 4 rounds at 50 arrivals per round, then 8 silent rounds (> d-1),
+// so every burst is an independent segment. maxW > 0 adds harmonic request
+// weights up to maxW.
+func benchBursty(requests, maxW int) (benchWorkload, *reqsched.Trace) {
+	w := benchWorkload{Kind: "bursty", TargetRequests: requests, N: 16, D: 4,
+		On: 4, Off: 8, BurstRate: 50, MaxWeight: maxW, Seed: 5}
+	w.Rounds = requests * (w.On + w.Off) / (w.On * int(w.BurstRate))
+	cfg := reqsched.WorkloadConfig{N: w.N, D: w.D, Rounds: w.Rounds, Seed: w.Seed}
+	tr := reqsched.Bursty(cfg, w.On, w.Off, w.BurstRate)
+	if maxW > 0 {
+		tr = reqsched.WithWeights(tr, maxW, w.Seed)
 	}
-	return best
+	w.Requests = tr.NumRequests()
+	w.Segments = reqsched.TraceSegmentCount(tr)
+	return w, tr
 }
 
-// runBenchOffline measures the monolithic and segmented offline solvers on
-// a multi-segment trace of roughly `requests` requests.
-func runBenchOffline(requests int, stderr io.Writer) (*benchOffline, error) {
-	// Bursts of 4 rounds at burstRate, then 8 silent rounds (> d-1): every
-	// burst is an independent segment.
-	const (
-		n, d      = 16, 4
-		on, off   = 4, 8
-		burstRate = 50.0
-		seed      = 5
-	)
-	rounds := requests * (on + off) / (on * int(burstRate))
-	cfg := reqsched.WorkloadConfig{N: n, D: d, Rounds: rounds, Rate: 0, Seed: seed}
-	tr := reqsched.Bursty(cfg, on, off, burstRate)
+// bencher times rows: each runs for benchtime, and every row is echoed to
+// stderr as it lands.
+type bencher struct {
+	benchtime time.Duration
+	stderr    io.Writer
+}
 
-	var o benchOffline
-	o.Workload.N = n
-	o.Workload.D = d
-	o.Workload.Rounds = rounds
-	o.Workload.On = on
-	o.Workload.Off = off
-	o.Workload.BurstRate = burstRate
-	o.Workload.Seed = seed
-	o.Workload.Requests = tr.NumRequests()
-	o.Segments = reqsched.TraceSegmentCount(tr)
-	o.GOMAXPROCS = runtime.GOMAXPROCS(0)
+func (b *bencher) section(name string, w benchWorkload) *benchSection {
+	return &benchSection{Name: name, Workload: w, GOMAXPROCS: runtime.GOMAXPROCS(0)}
+}
 
-	want := 0
-	o.MonolithicNs = timeIt(2, func() { want = reqsched.Optimum(tr) })
-	o.Optimum = want
+// time is the one timer. It calls op until benchtime has elapsed, at least
+// once, and appends sec's row key: mean ns, allocations and bytes per
+// operation, read from runtime.MemStats as testing.Benchmark does, and the
+// value the last call returned. One call of op performs ops operations. An
+// error from op, such as a failed equality check, fails the row.
+func (b *bencher) time(sec *benchSection, key string, ops int, op func() (int, error)) error {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	calls, value := 0, 0
+	for calls == 0 || time.Since(start) < b.benchtime {
+		v, err := op()
+		if err != nil {
+			return fmt.Errorf("bench %s %s: %w", sec.Name, key, err)
+		}
+		value = v
+		calls++
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	n := uint64(calls * ops)
+	row := benchRow{
+		Key:         key,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
+		AllocsPerOp: int64((after.Mallocs - before.Mallocs) / n),
+		BytesPerOp:  int64((after.TotalAlloc - before.TotalAlloc) / n),
+		Value:       value,
+	}
+	sec.Rows = append(sec.Rows, row)
+	fmt.Fprintf(b.stderr, "%-16s %-20s %14.0f ns/op %8d allocs/op %10d B/op  value %d\n",
+		sec.Name, key, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp, row.Value)
+	return nil
+}
+
+// solver times a monolithic offline solver and its segmented parallel form at
+// 1, 2, 4 and 8 workers. Every parallel row must equal the monolithic value.
+func (b *bencher) solver(name string, w benchWorkload, mono func() int, par func(workers int) int) (*benchSection, error) {
+	sec := b.section(name, w)
+	if err := b.time(sec, "monolithic", 1, func() (int, error) { return mono(), nil }); err != nil {
+		return nil, err
+	}
+	want := sec.Rows[0].Value
 	for _, workers := range []int{1, 2, 4, 8} {
-		var got int
-		ns := timeIt(3, func() { got = reqsched.OptimumParallel(tr, workers) })
-		if got != want {
-			return nil, fmt.Errorf("BUG: OptimumParallel(workers=%d) = %d, Optimum = %d", workers, got, want)
-		}
-		o.Entries = append(o.Entries, benchOfflineEntry{
-			Workers: workers,
-			NsPerOp: ns,
-			Speedup: o.MonolithicNs / ns,
+		err := b.time(sec, fmt.Sprintf("workers=%d", workers), 1, func() (int, error) {
+			if got := par(workers); got != want {
+				return 0, fmt.Errorf("BUG: parallel solver = %d, monolithic = %d", got, want)
+			}
+			return want, nil
 		})
-		fmt.Fprintf(stderr, "offline workers=%d %14.0f ns/op  speedup %.2fx\n",
-			workers, ns, o.MonolithicNs/ns)
+		if err != nil {
+			return nil, err
+		}
 	}
-	return &o, nil
+	return sec, nil
 }
 
-// benchBurstyTrace builds the gapped bursty trace the incremental and serve
-// sections run on (same shape as runBenchOffline), sized to roughly
-// `requests` requests.
-func benchBurstyTrace(requests int) (*reqsched.Trace, benchWorkload) {
-	const (
-		n, d      = 16, 4
-		on, off   = 4, 8
-		burstRate = 50.0
-		seed      = 5
-	)
-	rounds := requests * (on + off) / (on * int(burstRate))
-	cfg := reqsched.WorkloadConfig{N: n, D: d, Rounds: rounds, Rate: 0, Seed: seed}
-	tr := reqsched.Bursty(cfg, on, off, burstRate)
-	return tr, benchWorkload{
-		N: n, D: d, Rounds: rounds, On: on, Off: off,
-		BurstRate: burstRate, Seed: seed, Requests: tr.NumRequests(),
-	}
+// benchStrategies is the historical baseline set BENCH_engine.json records:
+// the Table 1 strategies plus the references and baselines whose timings
+// the alloc-regression tests in EXPERIMENTS.md compare against. The set is
+// pinned — rows are a file format, not an iteration default — so it stays a
+// literal here rather than a registry query.
+var benchStrategies = []string{
+	"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
+	"EDF", "first_fit", "A_local_fix", "A_local_eager",
 }
 
-// runBenchIncremental measures the incremental rolling optimum against cold
-// per-segment solves on a multi-segment trace of roughly `requests` requests.
-func runBenchIncremental(requests int, stderr io.Writer) (*benchIncremental, error) {
-	tr, wl := benchBurstyTrace(requests)
+// benchEngine runs the BenchmarkEngine workload through each strategy; the
+// value is the strategy's fulfilled count. Its workload is fixed, so the size
+// argument is unused.
+func benchEngine(b *bencher, _ int) (*benchSection, error) {
+	w := benchWorkload{Kind: "uniform", N: 16, D: 6, Rounds: 300, Rate: 18, Seed: 11}
+	tr := reqsched.Uniform(reqsched.WorkloadConfig{N: w.N, D: w.D, Rounds: w.Rounds, Rate: w.Rate, Seed: w.Seed})
+	w.Requests = tr.NumRequests()
+	sec := b.section("engine", w)
+	for _, name := range benchStrategies {
+		err := b.time(sec, name, 1, func() (int, error) {
+			res, err := reqsched.RunChecked(reqsched.StrategyByName(name), tr)
+			if err != nil {
+				return 0, err
+			}
+			return res.Fulfilled, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sec, nil
+}
 
-	o := &benchIncremental{TargetRequests: requests, Workload: wl}
-	o.Segments = reqsched.TraceSegmentCount(tr)
-	o.GOMAXPROCS = runtime.GOMAXPROCS(0)
+// benchOffline times the segmented parallel optimum against the monolithic
+// Hopcroft–Karp solver.
+func benchOffline(b *bencher, requests int) (*benchSection, error) {
+	w, tr := benchBursty(requests, 0)
+	return b.solver("offline", w,
+		func() int { return reqsched.Optimum(tr) },
+		func(workers int) int { return reqsched.OptimumParallel(tr, workers) })
+}
 
-	// Pre-materialize the segment sub-traces so the cold timing is the solve
-	// alone — exactly the work the serve daemon's rolling worker used to do
-	// per closed segment — not the cutting.
+// benchMaxProfit times the segmented max-profit solver against its monolithic
+// min-cost-flow counterpart, which is superlinear in the trace (~40 min at
+// 10^5 requests on one core), so it usually runs once.
+func benchMaxProfit(b *bencher, requests int) (*benchSection, error) {
+	w, tr := benchBursty(requests, 8)
+	return b.solver("max_profit", w,
+		func() int { return reqsched.MaxProfit(tr) },
+		func(workers int) int { return reqsched.MaxProfitParallel(tr, workers) })
+}
+
+// benchMinLatency times the segmented min-latency solver against its
+// monolithic counterpart, which pushes every augmenting path, not just the
+// profitable ones; BenchMain runs it at a tenth of the max-profit size.
+func benchMinLatency(b *bencher, requests int) (*benchSection, error) {
+	w, tr := benchBursty(requests, 8)
+	return b.solver("min_latency", w,
+		func() int { _, lat := reqsched.OptimumMinLatency(tr); return lat },
+		func(workers int) int { _, lat := reqsched.OptimumMinLatencyParallel(tr, workers); return lat })
+}
+
+// benchIncremental times the incremental rolling optimum (one maintained
+// matching, one augmenting-path search per request, scratch reused across
+// segment seals) against cold solves: a fresh graph and Hopcroft–Karp solve
+// per pre-materialized segment sub-trace. One op is a full pass over the
+// trace, and both rows must equal Optimum.
+func benchIncremental(b *bencher, requests int) (*benchSection, error) {
+	w, tr := benchBursty(requests, 0)
+	// Materialize the segment sub-traces up front so the cold row times the
+	// solves alone, not the cutting.
 	var buf bytes.Buffer
 	if err := reqsched.WriteTraceStream(&buf, tr); err != nil {
 		return nil, err
@@ -300,120 +235,51 @@ func runBenchIncremental(requests int, stderr io.Writer) (*benchIncremental, err
 		}
 		segs = append(segs, sub)
 	}
-
 	want := reqsched.Optimum(tr)
-	o.Optimum = want
 
-	cold := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sum := 0
-			for _, sub := range segs {
-				sum += reqsched.Optimum(sub)
-			}
-			if sum != want {
-				b.Fatalf("cold segment sum %d, Optimum %d", sum, want)
-			}
+	sec := b.section("incremental_opt", w)
+	err := b.time(sec, "cold", 1, func() (int, error) {
+		sum := 0
+		for _, sub := range segs {
+			sum += reqsched.Optimum(sub)
 		}
-	})
-	o.ColdNsPerOp = float64(cold.T.Nanoseconds()) / float64(cold.N)
-	o.ColdAllocsPerOp = cold.AllocsPerOp()
-	o.ColdBytesPerOp = cold.AllocedBytesPerOp()
-
-	inc := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := reqsched.OptimumIncremental(tr); got != want {
-				b.Fatalf("OptimumIncremental %d, Optimum %d", got, want)
-			}
+		if sum != want {
+			return 0, fmt.Errorf("cold segment sum %d, Optimum %d", sum, want)
 		}
+		return sum, nil
 	})
-	o.NsPerOp = float64(inc.T.Nanoseconds()) / float64(inc.N)
-	o.AllocsPerOp = inc.AllocsPerOp()
-	o.BytesPerOp = inc.AllocedBytesPerOp()
-	if o.NsPerOp > 0 {
-		o.SpeedupVsCold = o.ColdNsPerOp / o.NsPerOp
+	if err != nil {
+		return nil, err
 	}
-	if o.AllocsPerOp > 0 {
-		o.AllocReduction = float64(o.ColdAllocsPerOp) / float64(o.AllocsPerOp)
+	err = b.time(sec, "incremental", 1, func() (int, error) {
+		if got := reqsched.OptimumIncremental(tr); got != want {
+			return 0, fmt.Errorf("OptimumIncremental %d, Optimum %d", got, want)
+		}
+		return want, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(stderr, "incremental cold %14.0f ns/op %8d allocs/op\n", o.ColdNsPerOp, o.ColdAllocsPerOp)
-	fmt.Fprintf(stderr, "incremental inc  %14.0f ns/op %8d allocs/op  speedup %.2fx  allocs %.1fx fewer\n",
-		o.NsPerOp, o.AllocsPerOp, o.SpeedupVsCold, o.AllocReduction)
-	return o, nil
+	return sec, nil
 }
 
-// runBenchModelHold measures the engine under hold=k service models: the
-// greedy router on reusable-resource traffic of roughly `requests` requests
-// per cell, rounds scaled so every model sees the same request count at the
-// same utilization. The hold=1,cap=1 row runs the historical unit-model fast
-// path; the others exercise the occupancy-tracking window.
-func runBenchModelHold(requests int, stderr io.Writer) (*benchModelHold, error) {
-	const (
-		n, d = 16, 4
-		load = 0.9
-		seed = 11
-	)
-	o := &benchModelHold{TargetRequests: requests}
-	o.Workload.N = n
-	o.Workload.D = d
-	o.Workload.Load = load
-	o.Workload.Seed = seed
-	o.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	greedy := func() core.Strategy {
-		s, err := registry.NewStrategySpec("compose,router=greedy")
-		if err != nil {
-			panic(err) // the spec is a constant; resolution cannot fail
-		}
-		return s
-	}
-	for _, m := range []core.ServiceModel{{Hold: 1, Cap: 1}, {Hold: 2, Cap: 1}, {Hold: 4, Cap: 2}, {Hold: 8, Cap: 2}} {
-		// rate = load*n*cap/hold, so rounds = requests*hold/(load*n*cap) keeps
-		// the request count at the target for every model.
-		rounds := int(float64(requests) * float64(m.Hold) / (load * float64(n) * float64(m.Cap)))
-		tr := workload.Reusable(workload.Config{N: n, D: d, Rounds: rounds, Seed: seed}, m, load)
-		var fulfilled int
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunChecked(greedy(), tr)
-				if err != nil {
-					b.Fatalf("run greedy under %s: %v", m, err)
-				}
-				fulfilled = res.Fulfilled
-			}
-		})
-		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-		o.Entries = append(o.Entries, benchModelEntry{
-			Hold: m.Hold, Cap: m.Cap, Requests: tr.NumRequests(),
-			NsPerOp:     nsPerOp,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Fulfilled:   fulfilled,
-		})
-		fmt.Fprintf(stderr, "model %-14s %12.0f ns/op %8d allocs/op %10d B/op  served %d of %d\n",
-			m, nsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), fulfilled, tr.NumRequests())
-	}
-	return o, nil
-}
-
-// runBenchServeIngest measures end-to-end daemon throughput: the bursty JSONL
-// stream POSTed to a virtual-clock serve.Server, drain included, so decode,
-// admission, engine stepping and the rolling-optimum worker all count.
-func runBenchServeIngest(requests int, stderr io.Writer) (*benchServeIngest, error) {
-	tr, wl := benchBurstyTrace(requests)
-	o := &benchServeIngest{TargetRequests: requests, Workload: wl}
-	o.Segments = reqsched.TraceSegmentCount(tr)
-	o.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
+// benchServeIngest times end-to-end daemon ingest: the bursty JSONL stream
+// POSTed to a virtual-clock serve.Server, drain included, so decode,
+// admission, engine stepping and the rolling-optimum worker all count. The
+// row's op is one request; its value is the session's fulfilled count, and
+// the session must admit every request.
+func benchServeIngest(b *bencher, requests int) (*benchSection, error) {
+	w, tr := benchBursty(requests, 0)
 	var buf bytes.Buffer
 	if err := reqsched.WriteTraceStream(&buf, tr); err != nil {
 		return nil, err
 	}
 	body := buf.Bytes()
 
-	session := func() error {
+	sec := b.section("serve_ingest", w)
+	// The key names the daemon's one ingest path: batched admission feeding
+	// the incremental rolling optimum.
+	err := b.time(sec, "batched_incremental", w.Requests, func() (int, error) {
 		// A_fix is the cheapest engine strategy, so the session time is
 		// dominated by the machinery under test — decode, admission, rolling
 		// optimum — not by strategy bookkeeping.
@@ -424,144 +290,93 @@ func runBenchServeIngest(requests int, stderr io.Writer) (*benchServeIngest, err
 			QueueCap: 1 << 20,
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		rw := httptest.NewRecorder()
 		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(body)))
 		if rw.Code != http.StatusOK {
-			return fmt.Errorf("serve ingest: status %d: %s", rw.Code, rw.Body.String())
+			return 0, fmt.Errorf("status %d: %s", rw.Code, rw.Body.String())
 		}
-		if met := s.Drain(); met.Requests != tr.NumRequests() {
-			return fmt.Errorf("serve ingest: admitted %d of %d", met.Requests, tr.NumRequests())
+		met := s.Drain()
+		if met.Requests != w.Requests {
+			return 0, fmt.Errorf("admitted %d of %d", met.Requests, w.Requests)
 		}
-		return nil
-	}
-	var serr error
-	ns := timeIt(3, func() {
-		if err := session(); err != nil && serr == nil {
-			serr = err
-		}
+		return met.Fulfilled, nil
 	})
-	if serr != nil {
-		return nil, serr
+	if err != nil {
+		return nil, err
 	}
-	perReq := ns / float64(tr.NumRequests())
-	o.Entries = append(o.Entries, benchServeEntry{
-		Mode:           "batched_incremental", // keys the entry in the checked-in baseline
-		NsPerRequest:   perReq,
-		RequestsPerSec: 1e9 / perReq,
-	})
-	fmt.Fprintf(stderr, "serve ingest %8.0f ns/request  %12.0f requests/s\n", perReq, 1e9/perReq)
-	return o, nil
+	return sec, nil
 }
 
-// benchWeightedWorkload builds the gapped bursty weighted trace the
-// weighted benchmarks run on, sized to roughly `requests` requests.
-func benchWeightedWorkload(requests int) (*reqsched.Trace, int) {
-	const (
-		n, d      = 16, 4
-		on, off   = 4, 8
-		burstRate = 50.0
-		seed      = 5
-		maxW      = 8
-	)
-	rounds := requests * (on + off) / (on * int(burstRate))
-	cfg := reqsched.WorkloadConfig{N: n, D: d, Rounds: rounds, Rate: 0, Seed: seed}
-	return reqsched.WithWeights(reqsched.Bursty(cfg, on, off, burstRate), maxW, seed), rounds
-}
-
-// runBenchWeighted measures the monolithic and segmented weighted offline
-// solvers on a multi-segment weighted trace of roughly `requests` requests.
-func runBenchWeighted(requests int, stderr io.Writer) (*benchWeighted, error) {
-	tr, rounds := benchWeightedWorkload(requests)
-
-	var wt benchWeighted
-	wt.Workload.N = tr.N
-	wt.Workload.D = tr.D
-	wt.Workload.Rounds = rounds
-	wt.Workload.On = 4
-	wt.Workload.Off = 8
-	wt.Workload.BurstRate = 50.0
-	wt.Workload.Seed = 5
-	wt.Workload.MaxW = 8
-	wt.Workload.Requests = tr.NumRequests()
-	wt.Segments = reqsched.TraceSegmentCount(tr)
-	wt.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	// Max profit. The monolithic successive-shortest-paths solver is
-	// superlinear in the trace (~40 min at 10^5 requests on one core), so one
-	// rep only.
-	want := 0
-	wt.ProfitMonolithicNs = timeIt(1, func() { want = reqsched.MaxProfit(tr) })
-	wt.Profit = want
-	fmt.Fprintf(stderr, "weighted profit monolithic %14.0f ns/op\n", wt.ProfitMonolithicNs)
-	for _, workers := range []int{1, 2, 4, 8} {
-		var got int
-		ns := timeIt(3, func() { got = reqsched.MaxProfitParallel(tr, workers) })
-		if got != want {
-			return nil, fmt.Errorf("BUG: MaxProfitParallel(workers=%d) = %d, MaxProfit = %d", workers, got, want)
-		}
-		wt.ProfitEntries = append(wt.ProfitEntries, benchOfflineEntry{
-			Workers: workers, NsPerOp: ns, Speedup: wt.ProfitMonolithicNs / ns,
+// benchModelHold times the engine under hold=k service models: the greedy
+// router on reusable-resource traffic of roughly requests requests per row,
+// rounds scaled so every model sees the same request count at the same
+// utilization. The hold=1,cap=1 row runs the unit-model fast path; the others
+// exercise the occupancy-tracking window. The value is the fulfilled count.
+func benchModelHold(b *bencher, requests int) (*benchSection, error) {
+	w := benchWorkload{Kind: "reusable", TargetRequests: requests, N: 16, D: 4, Load: 0.9, Seed: 11}
+	sec := b.section("model_hold", w)
+	for _, m := range []core.ServiceModel{{Hold: 1, Cap: 1}, {Hold: 2, Cap: 1}, {Hold: 4, Cap: 2}, {Hold: 8, Cap: 2}} {
+		// rate = load*n*cap/hold, so rounds = requests*hold/(load*n*cap) keeps
+		// the request count at the target for every model.
+		rounds := int(float64(requests) * float64(m.Hold) / (w.Load * float64(w.N) * float64(m.Cap)))
+		tr := workload.Reusable(workload.Config{N: w.N, D: w.D, Rounds: rounds, Seed: w.Seed}, m, w.Load)
+		err := b.time(sec, m.String(), 1, func() (int, error) {
+			greedy, err := registry.NewStrategySpec("compose,router=greedy")
+			if err != nil {
+				return 0, err
+			}
+			res, err := core.RunChecked(greedy, tr)
+			if err != nil {
+				return 0, err
+			}
+			return res.Fulfilled, nil
 		})
-		fmt.Fprintf(stderr, "weighted profit workers=%d %14.0f ns/op  speedup %.2fx\n",
-			workers, ns, wt.ProfitMonolithicNs/ns)
-	}
-
-	// Min latency, same shape at a tenth of the size (its monolithic solver
-	// pushes every augmenting path, not just the profitable ones).
-	small, _ := benchWeightedWorkload(requests / 10)
-	wt.MinLatencyRequests = small.NumRequests()
-	wantLat := 0
-	wt.MinLatencyMonolithicNs = timeIt(1, func() { _, wantLat = reqsched.OptimumMinLatency(small) })
-	wt.MinLatency = wantLat
-	fmt.Fprintf(stderr, "weighted minlat monolithic %14.0f ns/op\n", wt.MinLatencyMonolithicNs)
-	for _, workers := range []int{1, 2, 4, 8} {
-		var gotLat int
-		ns := timeIt(3, func() { _, gotLat = reqsched.OptimumMinLatencyParallel(small, workers) })
-		if gotLat != wantLat {
-			return nil, fmt.Errorf("BUG: OptimumMinLatencyParallel(workers=%d) = %d, OptimumMinLatency = %d", workers, gotLat, wantLat)
+		if err != nil {
+			return nil, err
 		}
-		wt.MinLatencyEntries = append(wt.MinLatencyEntries, benchOfflineEntry{
-			Workers: workers, NsPerOp: ns, Speedup: wt.MinLatencyMonolithicNs / ns,
-		})
-		fmt.Fprintf(stderr, "weighted minlat workers=%d %14.0f ns/op  speedup %.2fx\n",
-			workers, ns, wt.MinLatencyMonolithicNs/ns)
 	}
-	return &wt, nil
+	return sec, nil
 }
 
-// benchStrategies is the historical baseline set BENCH_engine.json records:
-// the Table 1 strategies plus the references and baselines whose timings
-// the alloc-regression tests in EXPERIMENTS.md compare against. The set is
-// pinned — entries are a file format, not an iteration default — so it
-// stays a literal here rather than a registry query.
-var benchStrategies = []string{
-	"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
-	"EDF", "first_fit", "A_local_fix", "A_local_eager",
+// benchSpecs lists every section BenchMain records, in file order. Gated
+// sections are the ones -check-regress reruns: cheap enough for CI.
+var benchSpecs = []struct {
+	name  string
+	gated bool
+	run   func(b *bencher, requests int) (*benchSection, error)
+}{
+	{"engine", false, benchEngine},
+	{"offline", false, benchOffline},
+	{"max_profit", false, benchMaxProfit},
+	{"min_latency", false, benchMinLatency},
+	{"incremental_opt", true, benchIncremental},
+	{"serve_ingest", true, benchServeIngest},
+	{"model_hold", true, benchModelHold},
 }
 
-// BenchMain is the main program of cmd/bench: it records the engine's
-// performance baseline as JSON. It runs the BenchmarkEngine workload
-// (uniform, N=16, D=6, 300 rounds, rate 18, seed 11) through each strategy
-// under testing.Benchmark and emits one entry per strategy with ns/op,
-// allocs/op, bytes/op and derived throughput, plus an offline section
-// benchmarking the segmented parallel optimum against the monolithic solver
-// on a million-request multi-segment trace. The checked-in
-// BENCH_engine.json is the reference the alloc-regression tests in
+// BenchMain is the main program of cmd/bench: it records the performance
+// baseline as JSON, one section per workload. The engine section runs the
+// BenchmarkEngine workload (uniform, N=16, D=6, 300 rounds, rate 18, seed 11)
+// through each strategy; the offline, max_profit and min_latency sections
+// time the segmented parallel optima against their monolithic solvers; the
+// incremental_opt, serve_ingest and model_hold sections time the rolling
+// optimum, daemon ingest and the engine under service models. The
+// checked-in BENCH_engine.json is the reference the alloc-regression tests in
 // EXPERIMENTS.md compare against:
 //
 //	go run ./cmd/bench -out BENCH_engine.json
 func BenchMain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("bench", stderr)
 	out := fs.String("out", "", "output file (default stdout)")
-	benchtime := fs.Duration("benchtime", 0, "per-strategy benchmark time (default testing's 1s)")
+	benchtime := fs.Duration("benchtime", time.Second, "time each row runs for (at least one op)")
 	offlineReqs := fs.Int("offline-requests", 1_000_000, "request count for the segmented-optimum benchmark (0 skips it)")
-	weightedReqs := fs.Int("weighted-requests", 100_000, "request count for the weighted-optima benchmark (0 skips it; the monolithic reference is superlinear — ~40 min at the default size)")
+	weightedReqs := fs.Int("weighted-requests", 100_000, "request count for the max-profit benchmark, a tenth of it for min-latency (0 skips both; the monolithic reference is superlinear — ~40 min at the default size)")
 	incReqs := fs.Int("incremental-requests", 200_000, "request count for the incremental-optimum benchmark (0 skips it)")
 	serveReqs := fs.Int("serve-requests", 50_000, "request count for the serve-ingest benchmark (0 skips it)")
 	modelReqs := fs.Int("model-requests", 50_000, "request count per service model for the model_hold benchmark (0 skips it)")
-	regressFile := fs.String("check-regress", "", "baseline BENCH_engine.json: rerun the incremental_opt, serve_ingest and model_hold sections at the baseline's sizes and fail if ns/op regresses past -regress-tolerance (skips everything else)")
+	regressFile := fs.String("check-regress", "", "baseline BENCH_engine.json: rerun its incremental_opt, serve_ingest and model_hold sections at the baseline's sizes and fail if a row's ns/op regresses past -regress-tolerance or is missing (skips everything else)")
 	regressTol := fs.Float64("regress-tolerance", 0.25, "allowed fractional ns/op regression in -check-regress mode")
 	workers := workersFlag(fs)
 	list, describe := listingFlags(fs)
@@ -571,98 +386,33 @@ func BenchMain(args []string, stdout, stderr io.Writer) int {
 	if handled, code := listing(*list, *describe, resolveWorkers(*workers), stdout, stderr); handled {
 		return code
 	}
+	b := &bencher{benchtime: *benchtime, stderr: stderr}
 	if *regressFile != "" {
-		return benchCheckRegress(*regressFile, *regressTol, stdout, stderr)
-	}
-	if *benchtime > 0 {
-		// testing.Benchmark honours the -test.benchtime flag.
-		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-		testing.Init()
-		flag.Set("test.benchtime", benchtime.String())
+		return benchCheckRegress(b, *regressFile, *regressTol, stdout, stderr)
 	}
 
-	cfg := reqsched.WorkloadConfig{N: 16, D: 6, Rounds: 300, Rate: 18, Seed: 11}
-	tr := reqsched.Uniform(cfg)
-
-	var base benchBaseline
-	base.Workload.N = cfg.N
-	base.Workload.D = cfg.D
-	base.Workload.Rounds = cfg.Rounds
-	base.Workload.Rate = cfg.Rate
-	base.Workload.Seed = cfg.Seed
-	base.Workload.Requests = tr.NumRequests()
-
-	for _, name := range benchStrategies {
-		name := name
-		var fulfilled int
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := reqsched.RunChecked(reqsched.StrategyByName(name), tr)
-				if err != nil {
-					b.Fatalf("run %s: %v", name, err)
-				}
-				fulfilled = res.Fulfilled
-			}
-		})
-		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-		opsPerSec := 0.0
-		if nsPerOp > 0 {
-			opsPerSec = 1e9 / nsPerOp
-		}
-		totalRounds := float64(tr.Horizon())
-		base.Entries = append(base.Entries, benchEntry{
-			Strategy:       name,
-			NsPerOp:        nsPerOp,
-			AllocsPerOp:    r.AllocsPerOp(),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			RoundsPerSec:   opsPerSec * totalRounds,
-			RequestsPerSec: opsPerSec * float64(tr.NumRequests()),
-			Fulfilled:      fulfilled,
-		})
-		fmt.Fprintf(stderr, "%-16s %12.0f ns/op %8d allocs/op %10d B/op  served %d\n",
-			name, nsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), fulfilled)
+	// Sized sections run at their flag's request count and are skipped at 0;
+	// the engine section's workload is fixed.
+	sizes := map[string]int{
+		"offline":         *offlineReqs,
+		"max_profit":      *weightedReqs,
+		"min_latency":     *weightedReqs / 10,
+		"incremental_opt": *incReqs,
+		"serve_ingest":    *serveReqs,
+		"model_hold":      *modelReqs,
 	}
-
-	if *offlineReqs > 0 {
-		o, err := runBenchOffline(*offlineReqs, stderr)
+	var file benchFile
+	for _, spec := range benchSpecs {
+		requests, sized := sizes[spec.name]
+		if sized && requests <= 0 {
+			continue
+		}
+		sec, err := spec.run(b, requests)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		base.Offline = o
-	}
-	if *weightedReqs > 0 {
-		wt, err := runBenchWeighted(*weightedReqs, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		base.Weighted = wt
-	}
-	if *incReqs > 0 {
-		inc, err := runBenchIncremental(*incReqs, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		base.Incremental = inc
-	}
-	if *serveReqs > 0 {
-		si, err := runBenchServeIngest(*serveReqs, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		base.ServeIngest = si
-	}
-	if *modelReqs > 0 {
-		mh, err := runBenchModelHold(*modelReqs, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		base.ModelHold = mh
+		file.Sections = append(file.Sections, sec)
 	}
 
 	w := io.Writer(stdout)
@@ -677,89 +427,74 @@ func BenchMain(args []string, stdout, stderr io.Writer) int {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(&base); err != nil {
+	if err := enc.Encode(&file); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	return 0
 }
 
-// benchCheckRegress is the CI benchmark-regression guard: it reruns the cheap
-// incremental_opt, serve_ingest and model_hold sections at the sizes recorded
-// in the checked-in baseline and fails if any ns/op metric regressed past tol
-// (fractional — 0.25 allows +25%). Getting faster never fails; the strategy,
-// offline and weighted sections are too slow for a CI gate and are skipped.
-func benchCheckRegress(path string, tol float64, stdout, stderr io.Writer) int {
+// benchCheckRegress is the CI benchmark-regression guard: it reruns each gated
+// section of the baseline at its recorded size and compares every baseline
+// row by section.row key. A row whose ns/op grew past tol (fractional — 0.25
+// allows +25%) or that the rerun no longer produces fails; getting faster
+// never does. Sections benchSpecs does not gate are skipped.
+func benchCheckRegress(b *bencher, path string, tol float64, stdout, stderr io.Writer) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	var base benchBaseline
+	var base benchFile
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fmt.Fprintf(stderr, "parse %s: %v\n", path, err)
 		return 1
 	}
-	if base.Incremental == nil && base.ServeIngest == nil && base.ModelHold == nil {
-		fmt.Fprintf(stderr, "%s has no incremental_opt, serve_ingest or model_hold section to check\n", path)
+	want := make(map[string]*benchSection, len(base.Sections))
+	for _, sec := range base.Sections {
+		want[sec.Name] = sec
+	}
+	failed, gated := false, 0
+	for _, spec := range benchSpecs {
+		baseline := want[spec.name]
+		if !spec.gated || baseline == nil {
+			continue
+		}
+		gated++
+		rerun, err := spec.run(b, baseline.Workload.TargetRequests)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		now := make(map[string]benchRow, len(rerun.Rows))
+		for _, row := range rerun.Rows {
+			now[row.Key] = row
+		}
+		for _, row := range baseline.Rows {
+			name := spec.name + "." + row.Key
+			limit := row.NsPerOp * (1 + tol)
+			got, ok := now[row.Key]
+			if !ok {
+				failed = true
+				fmt.Fprintf(stdout, "%-34s baseline %12.0f ns  now %12s     (limit %12.0f)  MISSING\n",
+					name, row.NsPerOp, "-", limit)
+				continue
+			}
+			verdict := "ok"
+			if got.NsPerOp > limit {
+				verdict = "REGRESSED"
+				failed = true
+			}
+			fmt.Fprintf(stdout, "%-34s baseline %12.0f ns  now %12.0f ns  (limit %12.0f)  %s\n",
+				name, row.NsPerOp, got.NsPerOp, limit, verdict)
+		}
+	}
+	if gated == 0 {
+		fmt.Fprintf(stderr, "%s has no gated section (incremental_opt, serve_ingest or model_hold) to check\n", path)
 		return 1
 	}
-	failed := false
-	check := func(name string, baseline, got float64) {
-		limit := baseline * (1 + tol)
-		ok := got <= limit
-		verdict := "ok"
-		if !ok {
-			verdict = "REGRESSED"
-			failed = true
-		}
-		fmt.Fprintf(stdout, "%-34s baseline %12.0f ns  now %12.0f ns  (limit %12.0f)  %s\n",
-			name, baseline, got, limit, verdict)
-	}
-	if base.Incremental != nil {
-		got, err := runBenchIncremental(base.Incremental.TargetRequests, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		check("incremental_opt.ns_per_op", base.Incremental.NsPerOp, got.NsPerOp)
-		check("incremental_opt.cold_ns_per_op", base.Incremental.ColdNsPerOp, got.ColdNsPerOp)
-	}
-	if base.ServeIngest != nil {
-		got, err := runBenchServeIngest(base.ServeIngest.TargetRequests, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		want := make(map[string]float64, len(base.ServeIngest.Entries))
-		for _, e := range base.ServeIngest.Entries {
-			want[e.Mode] = e.NsPerRequest
-		}
-		for _, e := range got.Entries {
-			if baseline, ok := want[e.Mode]; ok {
-				check("serve_ingest."+e.Mode+".ns_per_request", baseline, e.NsPerRequest)
-			}
-		}
-	}
-	if base.ModelHold != nil {
-		got, err := runBenchModelHold(base.ModelHold.TargetRequests, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		want := make(map[string]float64, len(base.ModelHold.Entries))
-		for _, e := range base.ModelHold.Entries {
-			want[fmt.Sprintf("hold=%d,cap=%d", e.Hold, e.Cap)] = e.NsPerOp
-		}
-		for _, e := range got.Entries {
-			key := fmt.Sprintf("hold=%d,cap=%d", e.Hold, e.Cap)
-			if baseline, ok := want[key]; ok {
-				check("model_hold."+key+".ns_per_op", baseline, e.NsPerOp)
-			}
-		}
-	}
 	if failed {
-		fmt.Fprintln(stderr, "bench: performance regression past tolerance; rerun on a quiet machine or regenerate the baseline with cmd/bench -out")
+		fmt.Fprintln(stderr, "bench: performance regression past tolerance or a missing row; rerun on a quiet machine or regenerate the baseline with cmd/bench -out")
 		return 1
 	}
 	return 0

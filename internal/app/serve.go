@@ -54,7 +54,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		roundMS  = fs.Int("round-ms", 100, "wall-clock round length in milliseconds")
 		virtual  = fs.Bool("virtual-clock", false, "deterministic clock: record arrival rounds drive the engine instead of a ticker")
 		queue    = fs.Int("queue", 4096, "arrival queue capacity (full queue answers 429)")
-		stripes  = fs.Int("stripes", 0, "wall-clock arrival queue shards (0: GOMAXPROCS; ignored under -virtual-clock)")
 		pprofSrv = fs.String("pprof", "", "also serve net/http/pprof on this address (e.g. localhost:6060; empty: off)")
 	)
 	workers := workersFlag(fs)
@@ -81,7 +80,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		Virtual:      *virtual,
 		RoundDur:     time.Duration(*roundMS) * time.Millisecond,
 		QueueCap:     *queue,
-		Stripes:      *stripes,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -185,56 +183,55 @@ func serveChecks(add func(name string, ok bool, format string, args ...interface
 }
 
 // serveStripedCheck pins the sharded wall-clock ingest contract for
-// cmd/verify: a sequential client (one POST per tick) driving the striped
-// arrival queue produces a schedule bit-identical to the single-queue path —
-// same request IDs, same fulfillments, same rolling ratio.
+// cmd/verify: a sequential client (one POST per tick) produces a schedule
+// bit-identical to core.Run on the trace whose round k holds the k-th POST's
+// records — same request IDs, same fulfillments — and a rolling OPT equal to
+// that trace's optimum.
 func serveStripedCheck(add func(name string, ok bool, format string, args ...interface{})) {
-	const name = "serve: striped ingest vs single queue"
-	session := func(stripes int) (*core.Result, serve.Metrics, error) {
-		s, err := serve.New(serve.Config{
-			N: 4, D: 3, Strategy: reqsched.NewABalance(), KeepLog: true,
-			QueueCap: 1 << 12, Stripes: stripes,
-		})
-		if err != nil {
-			return nil, serve.Metrics{}, err
-		}
-		rng := rand.New(rand.NewSource(7))
-		for round := 0; round < 12; round++ {
-			var sb strings.Builder
-			for i := 0; i < 15; i++ {
-				a := rng.Intn(4)
-				c := rng.Intn(3)
-				if c >= a {
-					c++
-				}
-				fmt.Fprintf(&sb, `{"alts":[%d,%d]}`+"\n", a, c)
-			}
-			rw := httptest.NewRecorder()
-			s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", strings.NewReader(sb.String())))
-			if rw.Code != http.StatusOK {
-				return nil, serve.Metrics{}, fmt.Errorf("round %d: ingest status %d", round, rw.Code)
-			}
-			s.Tick()
-		}
-		m := s.Drain()
-		return s.FinalResult(), m, nil
-	}
-	single, m1, err1 := session(1)
-	striped, m4, err4 := session(4)
-	if err1 != nil || err4 != nil {
-		add(name, false, "single: %v, striped: %v", err1, err4)
+	const name = "serve: striped wall-clock ingest vs engine"
+	s, err := serve.New(serve.Config{
+		N: 4, D: 3, Strategy: reqsched.NewABalance(), KeepLog: true, QueueCap: 1 << 12,
+	})
+	if err != nil {
+		add(name, false, "%v", err)
 		return
 	}
-	same := single.Requests == striped.Requests && single.Fulfilled == striped.Fulfilled &&
-		len(single.Log) == len(striped.Log) && m1.Rolling == m4.Rolling
-	for i := 0; same && i < len(single.Log); i++ {
-		a, b := single.Log[i], striped.Log[i]
-		same = a.Req.ID == b.Req.ID && a.Res == b.Res && a.Round == b.Round
+	rng := rand.New(rand.NewSource(7))
+	b := core.NewBuilder(4, 3)
+	for round := 0; round < 12; round++ {
+		var sb strings.Builder
+		for i := 0; i < 15; i++ {
+			a := rng.Intn(4)
+			c := rng.Intn(3)
+			if c >= a {
+				c++
+			}
+			fmt.Fprintf(&sb, `{"alts":[%d,%d]}`+"\n", a, c)
+			b.Add(round, a, c)
+		}
+		rw := httptest.NewRecorder()
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/requests", strings.NewReader(sb.String())))
+		if rw.Code != http.StatusOK {
+			s.Close()
+			add(name, false, "round %d: ingest status %d", round, rw.Code)
+			return
+		}
+		s.Tick()
+	}
+	m := s.Drain()
+	tr := b.Build()
+	got, want := s.FinalResult(), reqsched.Run(reqsched.NewABalance(), tr)
+	opt := reqsched.Optimum(tr)
+	same := got.Requests == want.Requests && got.Fulfilled == want.Fulfilled &&
+		len(got.Log) == len(want.Log) && m.Rolling.Opt == opt && m.Rolling.Alg == want.Fulfilled
+	for i := 0; same && i < len(got.Log); i++ {
+		g, w := got.Log[i], want.Log[i]
+		same = g.Req.ID == w.Req.ID && g.Res == w.Res && g.Round == w.Round
 	}
 	add(name, same,
-		"single queue %d/%d (%d fulfillments, rolling %+v) vs 4 stripes %d/%d (%d, rolling %+v)",
-		single.Requests, single.Fulfilled, len(single.Log), m1.Rolling,
-		striped.Requests, striped.Fulfilled, len(striped.Log), m4.Rolling)
+		"daemon %d/%d (%d fulfillments, rolling OPT %d) vs engine %d/%d (%d, OPT %d)",
+		got.Requests, got.Fulfilled, len(got.Log), m.Rolling.Opt,
+		want.Requests, want.Fulfilled, len(want.Log), opt)
 }
 
 // buildStrategy resolves a "name[,key=value...]" spec against the registry.

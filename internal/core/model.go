@@ -94,3 +94,49 @@ func CheckModelSupport(s Strategy, m ServiceModel) error {
 	}
 	return nil
 }
+
+// CleanCut tracks the open segment of an arrival stream and decides where it
+// may be cut into independent pieces. A request arriving at round t starts a
+// new segment when one is open, t is past every deadline in it, and t falls
+// on an epoch boundary (a multiple of Hold), so no slot or epoch is shared
+// across the cut. Segment optima then sum to the whole stream's optimum.
+// Arrival rounds must be nondecreasing. The zero value is not ready; use
+// NewCleanCut.
+type CleanCut struct {
+	hold  int
+	open  bool
+	maxDL int
+}
+
+// NewCleanCut returns a cut tracker under service model m with no segment
+// open.
+func NewCleanCut(m ServiceModel) CleanCut {
+	return CleanCut{hold: m.Norm().Hold, maxDL: -1}
+}
+
+// Cuts reports whether a request arriving at round t closes the open segment.
+// The caller then seals the segment and calls Reset before adding the request.
+func (c *CleanCut) Cuts(t int) bool {
+	return c.open && t > c.maxDL && t%c.hold == 0
+}
+
+// Add puts a request with the given deadline into the open segment, opening
+// one if none is.
+func (c *CleanCut) Add(deadline int) {
+	c.open = true
+	if deadline > c.maxDL {
+		c.maxDL = deadline
+	}
+}
+
+// Reset closes the open segment.
+func (c *CleanCut) Reset() {
+	c.open, c.maxDL = false, -1
+}
+
+// Open reports whether a segment is open.
+func (c *CleanCut) Open() bool { return c.open }
+
+// MaxDeadline returns the largest deadline in the open segment (-1 when none
+// is open).
+func (c *CleanCut) MaxDeadline() int { return c.maxDL }

@@ -90,3 +90,31 @@ func TestWindowModelOccupancy(t *testing.T) {
 		}
 	}
 }
+
+// TestCleanCut pins the one clean-cut rule: a cut needs an open segment, an
+// arrival past every deadline in it and, under hold > 1, an epoch boundary.
+func TestCleanCut(t *testing.T) {
+	c := NewCleanCut(ServiceModel{Hold: 4, Cap: 1})
+	if c.Open() || c.Cuts(100) || c.MaxDeadline() != -1 {
+		t.Fatal("a fresh tracker has an open segment")
+	}
+	c.Add(5)
+	c.Add(3)
+	if !c.Open() || c.MaxDeadline() != 5 {
+		t.Fatalf("open %v max deadline %d, want true and 5", c.Open(), c.MaxDeadline())
+	}
+	for tt, want := range map[int]bool{4: false, 5: false, 6: false, 7: false, 8: true, 12: true} {
+		if got := c.Cuts(tt); got != want {
+			t.Fatalf("Cuts(%d) = %v at max deadline 5, hold 4; want %v", tt, got, want)
+		}
+	}
+	c.Reset()
+	if c.Open() || c.Cuts(8) || c.MaxDeadline() != -1 {
+		t.Fatal("Reset left a segment open")
+	}
+	unit := NewCleanCut(ServiceModel{})
+	unit.Add(5)
+	if !unit.Cuts(6) || unit.Cuts(5) {
+		t.Fatal("the unit model cuts at every round past the last deadline")
+	}
+}

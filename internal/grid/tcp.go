@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"reqsched/internal/grid/chaos"
+	"reqsched/internal/trace"
 )
 
 // ProtoVersion is the gridworker wire protocol version. Both ends exchange it
@@ -40,11 +41,24 @@ type hello struct {
 	Peer  string `json:"peer,omitempty"`
 }
 
-// protoError is a handshake version mismatch — permanent, not retryable.
-type protoError struct{ got int }
+// protoError is a protocol violation redialing cannot heal — a handshake
+// version mismatch or a line longer than trace.MaxLineBytes. It is permanent:
+// the host is marked lost, never retried.
+type protoError struct{ err error }
 
-func (e *protoError) Error() string {
-	return fmt.Sprintf("protocol version mismatch: worker speaks v%d, supervisor v%d", e.got, ProtoVersion)
+func (e *protoError) Error() string { return e.err.Error() }
+func (e *protoError) Unwrap() error { return e.err }
+
+// readLine reads one protocol line from br, capped at trace.MaxLineBytes. off
+// is the line's byte offset on the connection, which an overlong line's
+// error names. The line aliases br's buffer until the next read.
+func readLine(br *bufio.Reader, off int64) (line []byte, next int64, err error) {
+	line, next, err = trace.ScanJSONLineSlice(br, off)
+	var long *trace.LineTooLong
+	if errors.As(err, &long) {
+		err = &protoError{err}
+	}
+	return line, next, err
 }
 
 func writeLine(w io.Writer, v any) error {
@@ -262,7 +276,7 @@ func (t *TCPTransport) dialOnce(ctx context.Context, addr string) (WorkerConn, e
 		return nil, fmt.Errorf("handshake write: %w", err)
 	}
 	br := bufio.NewReader(nc)
-	line, err := br.ReadBytes('\n')
+	line, off, err := readLine(br, 0)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("handshake read: %w", err)
@@ -274,10 +288,10 @@ func (t *TCPTransport) dialOnce(ctx context.Context, addr string) (WorkerConn, e
 	}
 	if h.Hello.Proto != ProtoVersion {
 		nc.Close()
-		return nil, &protoError{got: h.Hello.Proto}
+		return nil, &protoError{fmt.Errorf("protocol version mismatch: worker speaks v%d, supervisor v%d", h.Hello.Proto, ProtoVersion)}
 	}
 	nc.SetDeadline(time.Time{})
-	c := &tcpConn{t: t, addr: addr, nc: nc, br: br, lines: make(chan procLine, 4)}
+	c := &tcpConn{t: t, addr: addr, nc: nc, br: br, off: off, lines: make(chan procLine, 4)}
 	go c.pump()
 	return c, nil
 }
@@ -288,6 +302,7 @@ type tcpConn struct {
 	addr      string
 	nc        net.Conn
 	br        *bufio.Reader
+	off       int64 // byte offset of the next line on the connection
 	lines     chan procLine
 	closeOnce sync.Once
 	stalled   atomic.Bool // a LinkStall fired: the link is silent but looks up
@@ -350,15 +365,24 @@ func (c *tcpConn) pump() {
 	defer close(c.lines)
 	for {
 		c.nc.SetReadDeadline(time.Now().Add(c.t.ioTimeout()))
-		line, err := c.br.ReadBytes('\n')
+		line, next, err := readLine(c.br, c.off)
+		c.off = next
 		if err != nil {
-			// Stream end. A locally closed socket (recycle) and a remote EOF
-			// both read as "worker gone" — the supervisor's attempt loop
-			// reports "worker exited mid-job". Anything else (reset, read
-			// deadline) is surfaced as a stream error.
-			if !errors.Is(err, net.ErrClosed) && err != io.EOF {
-				c.lines <- procLine{err: fmt.Errorf("read from %s: %w", c.addr, err)}
+			// Stream end. A locally closed socket (recycle), a remote EOF and
+			// a line torn by it all read as "worker gone" — the supervisor's
+			// attempt loop reports "worker exited mid-job". Anything else
+			// (reset, read deadline, an overlong line) is surfaced as a stream
+			// error; an overlong line also marks the host lost.
+			var torn *trace.TornTail
+			if errors.Is(err, net.ErrClosed) || err == io.EOF || errors.As(err, &torn) {
+				return
 			}
+			var pe *protoError
+			if errors.As(err, &pe) {
+				c.nc.Close()
+				c.t.markDead(c.addr, pe.Error())
+			}
+			c.lines <- procLine{err: fmt.Errorf("read from %s: %w", c.addr, err)}
 			return
 		}
 		switch c.t.stepMsg(c.addr) {
@@ -382,7 +406,7 @@ func (c *tcpConn) pump() {
 			continue
 		}
 		var out workerOut
-		if err := json.Unmarshal(bytes.TrimRight(line, "\r\n"), &out); err != nil {
+		if err := json.Unmarshal(line, &out); err != nil {
 			c.lines <- procLine{err: fmt.Errorf("unparseable worker line: %w", err)}
 			return
 		}
@@ -445,7 +469,7 @@ func ServeWorker(ctx context.Context, ln net.Listener, hbInterval time.Duration,
 func serveConn(nc net.Conn, hbInterval time.Duration, flt *chaos.Faults) error {
 	nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(nc)
-	line, err := br.ReadBytes('\n')
+	line, _, err := readLine(br, 0)
 	if err != nil {
 		return fmt.Errorf("handshake read: %w", err)
 	}

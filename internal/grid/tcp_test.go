@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 	"reqsched/internal/grid"
 	"reqsched/internal/grid/chaos"
 	"reqsched/internal/ratio"
+	"reqsched/internal/trace"
 )
 
 // startWorker boots one in-process TCP gridworker on an ephemeral port and
@@ -565,4 +567,135 @@ func TestTCPDuplicateResultDiscarded(t *testing.T) {
 		t.Fatalf("accepted run discarded %d duplicates, want %d", rep.Duplicates, wantDup)
 	}
 	requireCleanJournal(t, jpath, jobs, want)
+}
+
+// byteRepeater is an endless stream of one byte.
+type byteRepeater byte
+
+func (b byteRepeater) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestTCPHelloLineTooLong sends a real worker a 64 MiB hello line with no
+// newline: the worker must hang up without buffering the line — the whole
+// exchange, client included, allocates far less than the line.
+func TestTCPHelloLineTooLong(t *testing.T) {
+	addr := startWorker(t, 20*time.Millisecond)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if _, err := io.Copy(nc, io.LimitReader(byteRepeater('x'), 64<<20)); err != nil {
+		t.Fatal(err)
+	}
+	nc.(*net.TCPConn).CloseWrite()
+	reply, err := io.ReadAll(nc)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatalf("worker did not close the connection: %v", err)
+	}
+	if len(reply) != 0 {
+		t.Fatalf("worker answered an overlong hello with %q", reply)
+	}
+	grew := m1.TotalAlloc - m0.TotalAlloc
+	if grew >= 8<<20 {
+		t.Fatalf("a 64 MiB hello line allocated %d bytes, want < 8 MiB", grew)
+	}
+	t.Logf("a 64 MiB hello line allocated %d bytes", grew)
+}
+
+// lockedBuffer collects the supervisor's log lines from concurrent writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestTCPWorkerReplyTooLong runs against fake workers whose reply is longer
+// than trace.MaxLineBytes, once as the hello and once as a job's result: each
+// reaches the supervisor as a permanent protocol error naming the line's byte
+// offset, and the host is declared lost instead of redialed.
+func TestTCPWorkerReplyTooLong(t *testing.T) {
+	long := strings.Repeat("x", trace.MaxLineBytes+1) + "\n"
+	hello := fmt.Sprintf(`{"hello":{"proto":%d,"peer":"gridworker"}}`+"\n", grid.ProtoVersion)
+	fake := func(t *testing.T, reply func(nc net.Conn, br *bufio.Reader)) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer nc.Close()
+					br := bufio.NewReader(nc)
+					if _, err := br.ReadBytes('\n'); err != nil {
+						return
+					}
+					reply(nc, br)
+				}()
+			}
+		}()
+		return ln.Addr().String()
+	}
+
+	t.Run("hello", func(t *testing.T) {
+		addr := fake(t, func(nc net.Conn, _ *bufio.Reader) { io.WriteString(nc, long) })
+		tr := &grid.TCPTransport{Addrs: []string{addr}, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}
+		_, err := tr.Dial(context.Background(), 0)
+		var hl *grid.HostLost
+		if !errors.As(err, &hl) {
+			t.Fatalf("an overlong hello must be a HostLost, got %v", err)
+		}
+		if !strings.Contains(err.Error(), "byte offset 0 is longer than") {
+			t.Fatalf("error %q does not name the line's offset", err)
+		}
+	})
+
+	t.Run("result", func(t *testing.T) {
+		addr := fake(t, func(nc net.Conn, br *bufio.Reader) {
+			io.WriteString(nc, hello)
+			if _, err := br.ReadBytes('\n'); err == nil { // the job
+				io.WriteString(nc, long)
+			}
+			io.Copy(io.Discard, br)
+		})
+		var log lockedBuffer
+		opts := tcpOpts([]string{addr}, nil)
+		opts.Log = &log
+		rep, err := grid.Run(context.Background(), testManifest(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.AllDone() || len(rep.LostHosts) != 1 || rep.LostHosts[0] != addr {
+			t.Fatalf("done %v, lost hosts %v; want the host lost and no cell done", rep.AllDone(), rep.LostHosts)
+		}
+		want := fmt.Sprintf("byte offset %d is longer than", len(hello))
+		if !strings.Contains(log.String(), want) {
+			t.Fatalf("supervisor log does not name the overlong line (%q):\n%s", want, log.String())
+		}
+	})
 }

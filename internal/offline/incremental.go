@@ -113,8 +113,8 @@ func (o *IncrementalOpt) Seal() int {
 // pieces whether or not the matcher is rewound between them.
 func OptimumIncremental(tr *core.Trace) int {
 	o := NewIncrementalOptModel(tr.N, tr.Model)
+	cut := core.NewCleanCut(tr.Model)
 	opt := 0
-	maxDL := -1
 	for t := range tr.Arrivals {
 		rs := tr.Arrivals[t]
 		if len(rs) == 0 {
@@ -122,16 +122,14 @@ func OptimumIncremental(tr *core.Trace) int {
 		}
 		// Seal at clean cuts so right-vertex rows restart at the new base and
 		// memory stays proportional to the widest open window, not the horizon.
-		// Cuts must be epoch-aligned so no epoch slot spans the seal.
-		if o.Count() > 0 && t > maxDL && t%o.hold == 0 {
+		if cut.Cuts(t) {
 			opt += o.Seal()
+			cut.Reset()
 		}
 		for i := range rs {
 			r := &rs[i]
 			o.AddRequest(r)
-			if dl := r.Deadline(); dl > maxDL {
-				maxDL = dl
-			}
+			cut.Add(r.Deadline())
 		}
 	}
 	return opt + o.Seal()

@@ -31,26 +31,27 @@ type Segment struct {
 }
 
 // SegmentTrace cuts tr at every round boundary no request's deadline window
-// crosses: a boundary before round t is clean when every request that arrived
-// earlier has a deadline before t. Under hold > 1 a cut must additionally be
-// epoch-aligned (t a multiple of Hold) so no epoch slot is shared across the
+// crosses, by core.CleanCut's rule: a boundary before round t is clean when
+// every request that arrived earlier has a deadline before t and, under
+// hold > 1, t is a multiple of Hold so no epoch slot is shared across the
 // cut. Arrivals are stored in round order, so one pass tracking the running
 // maximum deadline finds all clean cuts in O(requests + horizon). Traces with
 // permanently overlapping windows yield a single segment; callers that still
 // want to decompose them use Components.
 func SegmentTrace(tr *core.Trace) []Segment {
-	hold := tr.Model.Norm().Hold
+	cut := core.NewCleanCut(tr.Model)
 	var segs []Segment
 	var cur []*core.Request
-	lo, maxDL := 0, -1
+	lo := 0
 	for t := range tr.Arrivals {
 		rs := tr.Arrivals[t]
 		if len(rs) == 0 {
 			continue
 		}
-		if len(cur) > 0 && t > maxDL && t%hold == 0 {
-			segs = append(segs, Segment{Lo: lo, Hi: maxDL, Reqs: cur})
+		if cut.Cuts(t) {
+			segs = append(segs, Segment{Lo: lo, Hi: cut.MaxDeadline(), Reqs: cur})
 			cur = nil
+			cut.Reset()
 		}
 		if len(cur) == 0 {
 			lo = t
@@ -58,13 +59,11 @@ func SegmentTrace(tr *core.Trace) []Segment {
 		for i := range rs {
 			r := &rs[i]
 			cur = append(cur, r)
-			if dl := r.Deadline(); dl > maxDL {
-				maxDL = dl
-			}
+			cut.Add(r.Deadline())
 		}
 	}
 	if len(cur) > 0 {
-		segs = append(segs, Segment{Lo: lo, Hi: maxDL, Reqs: cur})
+		segs = append(segs, Segment{Lo: lo, Hi: cut.MaxDeadline(), Reqs: cur})
 	}
 	return segs
 }

@@ -75,18 +75,18 @@ func RunAdaptiveStream(s core.Strategy, src core.AdaptiveSource, workers int) (M
 // while no segment sub-trace is ever materialized.
 func runAdaptiveIncremental(s core.Strategy, src core.AdaptiveSource) (Measurement, int) {
 	inc := offline.NewIncrementalOpt(src.N())
-	opt, nsegs, maxDL := 0, 0, -1
+	cut := core.NewCleanCut(core.UnitModel())
+	opt, nsegs := 0, 0
 	res, ok := core.RunAdaptiveObserved(s, src, func(t int, arrivals []core.Request) bool {
 		for i := range arrivals {
 			a := &arrivals[i]
-			if inc.Count() > 0 && a.Arrive > maxDL {
+			if cut.Cuts(a.Arrive) {
 				opt += inc.Seal()
 				nsegs++
+				cut.Reset()
 			}
 			inc.Add(a.Arrive, a.D, a.Alts)
-			if dl := a.Deadline(); dl > maxDL {
-				maxDL = dl
-			}
+			cut.Add(a.Deadline())
 		}
 		return true
 	})

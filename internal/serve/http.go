@@ -87,9 +87,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		shard = s.sq.pick()
 	}
 	// admit pushes the decoded batch through admission — one engine-lock
-	// acquisition for the whole batch, or the lock-free shard path under
-	// striping. Record-at-a-time verdicts and order are preserved exactly; on
-	// a rejection it reports the failing record and everything admitted stays.
+	// acquisition for the whole batch under the virtual clock, the lock-free
+	// shard path under the wall clock. Record-at-a-time verdicts and order
+	// are preserved exactly; on a rejection it reports the failing record and
+	// everything admitted stays.
 	admit := func() (trace.StreamRecord, int64, admitVerdict) {
 		n := 0
 		verdict := admitOK

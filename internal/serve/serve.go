@@ -58,12 +58,6 @@ type Config struct {
 	// KeepLog retains the full fulfillment log in the engine result (memory
 	// grows with traffic; meant for equivalence tests, not production runs).
 	KeepLog bool
-	// Stripes shards the wall-clock arrival queue: each ingest connection
-	// buffers admitted records into one of Stripes shards guarded by its own
-	// lock, and the shards merge — in shard order, IDs assigned at the merge —
-	// at every tick. 0 means GOMAXPROCS; 1 keeps the single queue. Ignored
-	// under the virtual clock, whose admission is order-dependent by contract.
-	Stripes int
 }
 
 // Server is the live scheduler daemon. Its HTTP surface is
@@ -85,15 +79,14 @@ type Server struct {
 	queue    []*core.Request // admitted arrivals waiting for their round
 	batchT   int             // virtual clock: round the queue belongs to
 	nextID   int
-	segCount int // requests in the open segment
-	segMaxDL int // max deadline of the open segment
-	algMark  int // Fulfilled at the last segment cut
+	cut      core.CleanCut // the open segment of the rolling ratio
+	algMark  int           // Fulfilled at the last segment cut
 	rej      rejectCounts
 	draining bool
 	finished bool
 	final    *core.Result
 
-	// wall-clock striped ingest fast path (nil when Stripes <= 1 or virtual)
+	// wall-clock arrival queue, GOMAXPROCS shards (nil under the virtual clock)
 	sq       *stripedQueue
 	closedIn atomic.Bool  // mirrors draining/finished for the lock-free check
 	round    atomic.Int64 // mirrors st.Round() for the expired-on-arrival check
@@ -163,27 +156,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("serve: queue capacity %d below 1", cfg.QueueCap)
 	}
-	if cfg.Stripes < 0 {
-		return nil, fmt.Errorf("serve: stripes %d below 0", cfg.Stripes)
-	}
-	if cfg.Stripes == 0 {
-		cfg.Stripes = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Virtual {
-		cfg.Stripes = 1 // admission is order-dependent under the virtual clock
-	}
 	if cfg.StrategyName == "" {
 		cfg.StrategyName = cfg.Strategy.Name()
 	}
 	s := &Server{
-		cfg:      cfg,
-		hist:     stats.NewHistogram(cfg.MaxD),
-		segMaxDL: -1,
-		optCh:    make(chan optJob, 256),
-		stop:     make(chan struct{}),
+		cfg:   cfg,
+		hist:  stats.NewHistogram(cfg.MaxD),
+		cut:   core.NewCleanCut(cfg.Model),
+		optCh: make(chan optJob, 256),
+		stop:  make(chan struct{}),
 	}
-	if cfg.Stripes > 1 {
-		s.sq = newStripedQueue(cfg.Stripes)
+	if !cfg.Virtual {
+		// Admission is order-dependent under the virtual clock, so only the
+		// wall clock shards its arrival queue.
+		s.sq = newStripedQueue(runtime.GOMAXPROCS(0))
 	}
 	s.st = core.NewStepperModel(cfg.Strategy, cfg.N, cfg.D, cfg.MaxD, cfg.Model)
 	s.st.KeepLog = cfg.KeepLog
@@ -249,11 +235,10 @@ const (
 	admitWindow
 )
 
-// admitLocked validates rec against the live engine state and, if admissible,
-// queues it for its round. Under the virtual clock rec.T is the arrival
-// round and a larger T first flushes the pending batch; under the wall clock
-// the arrival round is assigned at the next tick and rec.T (when set) only
-// feeds the expired-on-arrival check.
+// admitLocked validates rec against the live engine state under the virtual
+// clock and, if admissible, queues it for its round: rec.T is the arrival
+// round, and a larger T first flushes the pending batch. Wall-clock records
+// take admitStriped instead.
 func (s *Server) admitLocked(rec trace.StreamRecord) admitVerdict {
 	if s.draining || s.finished {
 		s.rej.Draining++
@@ -263,25 +248,15 @@ func (s *Server) admitLocked(rec trace.StreamRecord) admitVerdict {
 		s.rej.Malformed++
 		return admitWindow
 	}
-	if s.cfg.Virtual {
-		// A round already simulated (or mid-batch round left behind) cannot
-		// receive arrivals: the engine never rewinds.
-		if rec.T < s.batchT || s.st.Round() > rec.T {
-			s.rej.Expired++
-			return admitOutOfOrder
-		}
-		if rec.T > s.batchT {
-			s.flushLocked()
-			s.batchT = rec.T
-		}
-	} else {
-		// Wall clock: the record joins the next tick's round. A client-side
-		// arrival stamp that already ran out its window is dead on arrival.
-		if rec.T > 0 && rec.T+rec.D-1 < s.st.Round() {
-			s.rej.Expired++
-			return admitExpired
-		}
-		rec.T = s.st.Round()
+	// A round already simulated (or mid-batch round left behind) cannot
+	// receive arrivals: the engine never rewinds.
+	if rec.T < s.batchT || s.st.Round() > rec.T {
+		s.rej.Expired++
+		return admitOutOfOrder
+	}
+	if rec.T > s.batchT {
+		s.flushLocked()
+		s.batchT = rec.T
 	}
 	if len(s.queue) >= s.cfg.QueueCap {
 		s.rej.QueueFull++
@@ -309,24 +284,18 @@ func (s *Server) flushLocked() {
 		return
 	}
 	t := s.batchT
-	if s.segCount > 0 && t > s.segMaxDL && t%s.cfg.Model.Hold == 0 {
-		// Clean cut: every request of the closing segment has deadline
-		// <= segMaxDL < t, so running the engine through segMaxDL makes all
-		// of the segment's services and expiries final before the snapshot.
-		// Under hold > 1 the cut must also fall on an epoch boundary — the
-		// same rule as offline.SegmentTrace — so the epoch-relaxed segment
-		// optima sum to the whole stream's.
-		s.runToLocked(s.segMaxDL + 1)
+	if s.cut.Cuts(t) {
+		// Clean cut: every request of the closing segment has a deadline
+		// before t, so running the engine through the segment's last deadline
+		// makes all of its services and expiries final before the snapshot.
+		s.runToLocked(s.cut.MaxDeadline() + 1)
 		s.sealSegmentLocked()
 	}
 	b := batchPool.Get().(*reqBatch)
 	b.recs = append(b.recs[:0], s.queue...)
 	s.optCh <- optJob{batch: b}
 	for _, r := range s.queue {
-		s.segCount++
-		if dl := r.Deadline(); dl > s.segMaxDL {
-			s.segMaxDL = dl
-		}
+		s.cut.Add(r.Deadline())
 	}
 	s.runToLocked(t)
 	s.st.Step(s.queue)
@@ -341,8 +310,7 @@ func (s *Server) sealSegmentLocked() {
 	job := optJob{seal: true, alg: res.Fulfilled - s.algMark}
 	s.algMark = res.Fulfilled
 	s.closed++
-	s.segCount = 0
-	s.segMaxDL = -1
+	s.cut.Reset()
 	s.optCh <- job
 }
 
@@ -361,12 +329,8 @@ func (s *Server) Tick() {
 	if s.cfg.Virtual || s.finished {
 		return
 	}
-	t := s.st.Round()
 	s.mergeStripesLocked(false)
-	for _, r := range s.queue {
-		r.Arrive = t // definitive arrival round is assigned at the tick
-	}
-	s.batchT = t
+	s.batchT = s.st.Round()
 	if len(s.queue) > 0 {
 		s.flushLocked()
 	} else {
@@ -389,16 +353,13 @@ func (s *Server) Drain() Metrics {
 	s.closedIn.Store(true)
 	if !s.cfg.Virtual {
 		s.mergeStripesLocked(true)
-		for _, r := range s.queue {
-			r.Arrive = s.st.Round()
-		}
 		s.batchT = s.st.Round()
 	}
 	s.flushLocked()
 	for s.st.Pending() > 0 {
 		s.st.Step(nil)
 	}
-	if s.segCount > 0 {
+	if s.cut.Open() {
 		s.sealSegmentLocked()
 	}
 	close(s.optCh)

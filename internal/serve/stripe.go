@@ -2,12 +2,13 @@
 // and engine ID are not determined at ingest — both are assigned at the next
 // tick — so admission does not have to serialize on the engine mutex the way
 // virtual-clock admission must. Each connection buffers validated records
-// into one of Stripes shards guarded by its own lock; the tick merges the
+// into one of GOMAXPROCS shards guarded by its own lock; the tick merges the
 // shards (in shard order, IDs assigned at the merge) into the engine batch.
 // With a single connection the merged order is the connection's send order,
-// so the schedule is bit-identical to the single-queue path; with concurrent
-// connections the interleaving is arbitrary, exactly as it already was for
-// concurrent writers racing one shared queue.
+// so a sequential client's schedule is bit-identical to core.Run on the trace
+// whose round k holds the records posted before tick k; with concurrent
+// connections the interleaving is arbitrary, as it is for any concurrent
+// writers.
 package serve
 
 import (
@@ -43,7 +44,8 @@ func (sq *stripedQueue) pick() *queueShard {
 	return &sq.shards[int(sq.next.Add(1)-1)%len(sq.shards)]
 }
 
-// stripedDepth returns the records buffered in shards (0 without striping).
+// stripedDepth returns the records buffered in shards (0 under the virtual
+// clock).
 func (s *Server) stripedDepth() int {
 	if s.sq == nil {
 		return 0
@@ -53,8 +55,9 @@ func (s *Server) stripedDepth() int {
 
 // admitStriped validates rec on the lock-free fast path and buffers it in the
 // connection's shard. Only rejections touch the engine mutex (for the
-// counters); the admit itself takes the shard lock alone. The checks mirror
-// admitLocked's wall-clock arm: the round mirror may lag the engine by a
+// counters); the admit itself takes the shard lock alone. The record joins
+// the next tick's round; a client-side arrival stamp rec.T that already ran
+// out its window is dead on arrival. The round mirror may lag the engine by a
 // tick-in-progress, which only moves records whose expiry races the tick —
 // the same records whose fate already depended on queue timing.
 func (s *Server) admitStriped(rec trace.StreamRecord, shard *queueShard) admitVerdict {
@@ -107,9 +110,6 @@ func (s *Server) countReject(c *int) {
 // requires. final additionally closes the shards so admitters that passed the
 // draining check before it was set cannot strand records in a drained shard.
 func (s *Server) mergeStripesLocked(final bool) {
-	if s.sq == nil {
-		return
-	}
 	t := s.st.Round()
 	for i := range s.sq.shards {
 		sh := &s.sq.shards[i]

@@ -6,19 +6,21 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"reqsched/internal/core"
+	"reqsched/internal/offline"
 	"reqsched/internal/serve"
+	"reqsched/internal/strategies"
 	"reqsched/internal/trace"
 )
 
-// wallBody builds one POST body of unstamped wall-clock records.
-func wallBody(rng *rand.Rand, n, recs int) string {
+// wallBody builds one POST body of unstamped wall-clock records, passing each
+// record's alternatives to add when it is non-nil.
+func wallBody(rng *rand.Rand, n, recs int, add func(alts ...int)) string {
 	var sb strings.Builder
 	for i := 0; i < recs; i++ {
 		a := rng.Intn(n)
@@ -27,65 +29,54 @@ func wallBody(rng *rand.Rand, n, recs int) string {
 			c++
 		}
 		fmt.Fprintf(&sb, `{"alts":[%d,%d]}`+"\n", a, c)
+		if add != nil {
+			add(a, c)
+		}
 	}
 	return sb.String()
 }
 
-// driveWall replays the same deterministic session — one post per tick,
-// repeated — against a server, returning the drained metrics. One connection
-// per round keeps its records in one shard in send order, so the merged
-// injection order is the send order whatever the stripe count; the rotating
-// shard pick still walks every stripe across rounds.
-func driveWall(t *testing.T, s *serve.Server, ts *httptest.Server, seed int64) serve.Metrics {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+// TestStripedWallClockMatchesRun pins the sharded wall-clock queue against
+// the batch engine: a sequential client posting once per tick produces a
+// schedule bit-identical to core.Run on the trace whose round k holds the
+// k-th POST's records in send order — same IDs, same fulfillments — and a
+// rolling ratio equal to that trace's offline optimum.
+func TestStripedWallClockMatchesRun(t *testing.T) {
+	const n, d = 4, 3
+	s, ts := newServer(t, serve.Config{N: n, D: d, KeepLog: true, QueueCap: 1 << 12})
+	rng := rand.New(rand.NewSource(99))
+	b := core.NewBuilder(n, d)
 	for round := 0; round < 12; round++ {
-		code, rep, _ := post(t, ts, wallBody(rng, 4, 15))
+		body := wallBody(rng, n, 15, func(alts ...int) { b.Add(round, alts...) })
+		code, rep, _ := post(t, ts, body)
 		if code != http.StatusOK || rep.Accepted != 15 {
 			t.Fatalf("round %d: status %d accepted %d (%s)", round, code, rep.Accepted, rep.Error)
 		}
 		s.Tick()
 	}
-	return drain(t, ts)
-}
+	m := drain(t, ts)
+	tr := b.Build()
 
-// TestStripedWallClockMatchesSingleQueue pins the sharding contract: a
-// sequential client driving the striped wall-clock queue produces a schedule
-// bit-identical to the single-queue path — same IDs, same fulfillments, same
-// rolling ratio.
-func TestStripedWallClockMatchesSingleQueue(t *testing.T) {
-	base := serve.Config{N: 4, D: 3, KeepLog: true, QueueCap: 1 << 12}
-
-	single := base
-	single.Stripes = 1
-	s1, ts1 := newServer(t, single)
-	m1 := driveWall(t, s1, ts1, 99)
-
-	striped := base
-	striped.Stripes = 4
-	s2, ts2 := newServer(t, striped)
-	m2 := driveWall(t, s2, ts2, 99)
-
-	r1, r2 := s1.FinalResult(), s2.FinalResult()
-	if r1 == nil || r2 == nil {
-		t.Fatal("missing final results")
+	got, want := s.FinalResult(), core.Run(strategies.NewBalance(), tr)
+	if got == nil {
+		t.Fatal("no final result after drain")
 	}
-	if r1.Requests != r2.Requests || r1.Fulfilled != r2.Fulfilled || r1.Expired != r2.Expired {
-		t.Fatalf("single %d/%d/%d vs striped %d/%d/%d",
-			r1.Requests, r1.Fulfilled, r1.Expired, r2.Requests, r2.Fulfilled, r2.Expired)
+	if got.Requests != want.Requests || got.Fulfilled != want.Fulfilled || got.Expired != want.Expired {
+		t.Fatalf("daemon %d/%d/%d vs engine %d/%d/%d",
+			got.Requests, got.Fulfilled, got.Expired, want.Requests, want.Fulfilled, want.Expired)
 	}
-	if len(r1.Log) != len(r2.Log) {
-		t.Fatalf("log length %d vs %d", len(r1.Log), len(r2.Log))
+	if len(got.Log) != len(want.Log) {
+		t.Fatalf("log length %d vs %d", len(got.Log), len(want.Log))
 	}
-	for i := range r1.Log {
-		a, b := r1.Log[i], r2.Log[i]
+	for i := range got.Log {
+		a, b := got.Log[i], want.Log[i]
 		if a.Req.ID != b.Req.ID || a.Res != b.Res || a.Round != b.Round {
 			t.Fatalf("fulfillment %d: (req %d, res %d, round %d) vs (req %d, res %d, round %d)",
 				i, a.Req.ID, a.Res, a.Round, b.Req.ID, b.Res, b.Round)
 		}
 	}
-	if m1.Rolling != m2.Rolling {
-		t.Fatalf("rolling %+v vs %+v", m1.Rolling, m2.Rolling)
+	if opt := offline.Optimum(tr); m.Rolling.Opt != opt || m.Rolling.Alg != want.Fulfilled {
+		t.Fatalf("rolling OPT/ALG %d/%d, trace %d/%d", m.Rolling.Opt, m.Rolling.Alg, opt, want.Fulfilled)
 	}
 }
 
@@ -96,7 +87,7 @@ func TestStripedWallClockMatchesSingleQueue(t *testing.T) {
 // exactly: every accepted record is either fulfilled or expired, and no
 // record is admitted after the shards close.
 func TestConcurrentStripedIngestRace(t *testing.T) {
-	s, ts := newServer(t, serve.Config{N: 4, D: 4, Stripes: 8, QueueCap: 1 << 14})
+	s, ts := newServer(t, serve.Config{N: 4, D: 4, QueueCap: 1 << 14})
 	const clients = 8
 	var accepted atomic.Int64
 	var wg sync.WaitGroup
@@ -121,7 +112,7 @@ func TestConcurrentStripedIngestRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(c)))
 			for i := 0; i < 30; i++ {
 				resp, err := http.Post(ts.URL+"/v1/requests", "application/jsonl",
-					strings.NewReader(wallBody(rng, 4, 20)))
+					strings.NewReader(wallBody(rng, 4, 20, nil)))
 				if err != nil {
 					continue // connection cut by test shutdown
 				}
@@ -159,7 +150,7 @@ func TestConcurrentStripedIngestRace(t *testing.T) {
 // depth check answers 429 with Retry-After once the shards hold QueueCap
 // records.
 func TestStripedBackpressure(t *testing.T) {
-	_, ts := newServer(t, serve.Config{N: 2, D: 2, Stripes: 4, QueueCap: 3})
+	_, ts := newServer(t, serve.Config{N: 2, D: 2, QueueCap: 3})
 	body := strings.Repeat(`{"alts":[0,1]}`+"\n", 5)
 	code, rep, hdr := post(t, ts, body)
 	if code != http.StatusTooManyRequests {

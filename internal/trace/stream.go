@@ -418,19 +418,18 @@ func ReadStream(r io.Reader) (*core.Trace, error) {
 // SegmentCutter accumulates requests fed in nondecreasing arrival-round
 // order and cuts them into independent time segments: a cut falls before
 // every request whose arrival round is past the deadline of every request
-// seen so far (the same clean-cut rule as offline.SegmentTrace). Each
+// seen so far (core.CleanCut, the rule offline.SegmentTrace uses). Each
 // finished segment is a self-contained sub-trace with rounds shifted to
 // start at 0 and its own request IDs from 0; segment optima therefore sum to
 // the whole input's optimum. It is the push-style core under Segments and
 // SegmentsOf, and the piece the adaptive streaming pipeline feeds directly
 // from the engine's observe callback.
 type SegmentCutter struct {
-	n, d  int
-	m     core.ServiceModel
-	b     *core.Builder
-	count int
-	lo    int
-	maxDL int
+	n, d int
+	m    core.ServiceModel
+	b    *core.Builder
+	cut  core.CleanCut
+	lo   int
 }
 
 // NewSegmentCutter returns a cutter for requests over n resources with
@@ -447,7 +446,7 @@ func NewSegmentCutter(n, d int) *SegmentCutter {
 // epoch-relaxed optimum is unchanged by the shift.
 func NewSegmentCutterModel(n, d int, m core.ServiceModel) *SegmentCutter {
 	m = m.Norm()
-	return &SegmentCutter{n: n, d: d, m: m, b: newSegBuilder(n, d, m), maxDL: -1}
+	return &SegmentCutter{n: n, d: d, m: m, b: newSegBuilder(n, d, m), cut: core.NewCleanCut(m)}
 }
 
 func newSegBuilder(n, d int, m core.ServiceModel) *core.Builder {
@@ -464,10 +463,10 @@ func newSegBuilder(n, d int, m core.ServiceModel) *core.Builder {
 // rounds must be nondecreasing.
 func (sc *SegmentCutter) Add(rec StreamRecord) *core.Trace {
 	var done *core.Trace
-	if sc.count > 0 && rec.T > sc.maxDL && rec.T%sc.m.Hold == 0 {
+	if sc.cut.Cuts(rec.T) {
 		done = sc.flush()
 	}
-	if sc.count == 0 {
+	if !sc.cut.Open() {
 		// Epoch-floor the origin: shifting by a non-multiple of hold would
 		// move requests across epoch boundaries and change the segment's
 		// epoch-relaxed optimum. At hold = 1 this is exactly rec.T.
@@ -477,17 +476,14 @@ func (sc *SegmentCutter) Add(rec StreamRecord) *core.Trace {
 	if rec.W > 1 {
 		sc.b.SetWeight(id, rec.W)
 	}
-	sc.count++
-	if dl := rec.Deadline(); dl > sc.maxDL {
-		sc.maxDL = dl
-	}
+	sc.cut.Add(rec.Deadline())
 	return done
 }
 
 // Finish returns the trailing open segment, or nil if no requests are
 // buffered. The cutter is reusable afterwards.
 func (sc *SegmentCutter) Finish() *core.Trace {
-	if sc.count == 0 {
+	if !sc.cut.Open() {
 		return nil
 	}
 	return sc.flush()
@@ -496,7 +492,7 @@ func (sc *SegmentCutter) Finish() *core.Trace {
 func (sc *SegmentCutter) flush() *core.Trace {
 	tr := sc.b.Build()
 	sc.b = newSegBuilder(sc.n, sc.d, sc.m)
-	sc.count = 0
+	sc.cut.Reset()
 	return tr
 }
 
