@@ -122,6 +122,20 @@ func TestSchedsimGolden(t *testing.T) {
 	requireGolden(t, "schedsim_seeds.txt", run(t, SchedsimMain, "-seeds", "3", "-strategy", "A_balance"))
 }
 
+// TestSchedsimConfigGolden pins the declarative-suite report of
+// schedsim -config: two workload kinds whose suite parameters are spelled
+// differently from the registry's (zipf → s, trapEvery → trap_every), run
+// at every worker count.
+func TestSchedsimConfigGolden(t *testing.T) {
+	for _, suite := range []string{"zipf", "trapmix"} {
+		cfg := filepath.Join("testdata", "suites", suite+".json")
+		for _, w := range workerCounts {
+			requireGolden(t, "schedsim_config_"+suite+".txt",
+				run(t, SchedsimMain, "-config", cfg, "-workers", w), "-config", cfg, "-workers", w)
+		}
+	}
+}
+
 func TestPaperGolden(t *testing.T) {
 	for _, w := range workerCounts {
 		requireGolden(t, "paper_quick.txt", run(t, PaperMain, "-quick", "-workers", w), "-workers", w)
