@@ -146,7 +146,7 @@ func PaperMain(args []string, stdout, stderr io.Writer) int {
 	section("Adaptive adversary, streamed (Theorem 2.6): OPT computed segment by segment")
 	for _, mk := range []func() reqsched.Strategy{reqsched.NewAEager, reqsched.NewEDF} {
 		s := mk()
-		m, nsegs := reqsched.MeasureAdaptiveStream(s, reqsched.AdversaryUniversal(6, maxInt(5, cfg.Phases/2)).Source, w)
+		m, nsegs := reqsched.MeasureAdaptiveStream(s, reqsched.AdversaryUniversal(6, max(5, cfg.Phases/2)).Source)
 		fmt.Fprintf(stdout, "  %-12s ratio %.4f  (%d segments, trace never materialized)\n",
 			s.Name()+":", m.Ratio(), nsegs)
 	}
@@ -167,11 +167,4 @@ func PaperMain(args []string, stdout, stderr io.Writer) int {
 	cres := ballsbins.Collision(100000, 100000, 2, 4, 40, 1)
 	fmt.Fprintf(stdout, "  collision protocol: placed all in %d communication rounds\n", cres.Rounds)
 	return 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -243,7 +243,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	// 4c. The streamed adaptive pipeline reproduces the materialized adaptive
 	// measurement on the Theorem 2.6 adversary.
 	wantAd := reqsched.MeasureConstruction(reqsched.AdversaryUniversal(6, 40), reqsched.NewABalance())
-	gotAd, nsegs := reqsched.MeasureAdaptiveStream(reqsched.NewABalance(), reqsched.AdversaryUniversal(6, 40).Source, w)
+	gotAd, nsegs := reqsched.MeasureAdaptiveStream(reqsched.NewABalance(), reqsched.AdversaryUniversal(6, 40).Source)
 	add("adaptive stream OPT", gotAd.OPT == wantAd.OPT && gotAd.ALG == wantAd.ALG,
 		"stream OPT/ALG %d/%d vs post-hoc %d/%d (%d segments)",
 		gotAd.OPT, gotAd.ALG, wantAd.OPT, wantAd.ALG, nsegs)
@@ -277,7 +277,7 @@ func VerifyMain(args []string, stdout, stderr io.Writer) int {
 	if *tools {
 		cmds := [][]string{
 			{"go", "vet", "./..."},
-			{"go", "test", "-race", "./internal/pool", "./internal/offline", "./internal/ratio", "./internal/experiment", "./internal/grid", "./internal/serve", "./internal/policy", "./internal/matching", "./internal/core", "./internal/trace"},
+			{"go", "test", "-race", "./internal/pool", "./internal/offline", "./internal/ratio", "./internal/experiment", "./internal/grid", "./internal/runner", "./internal/serve", "./internal/policy", "./internal/matching", "./internal/core", "./internal/trace"},
 		}
 		for _, args := range cmds {
 			cmd := exec.Command(args[0], args[1:]...)

@@ -150,8 +150,8 @@ func RunAdaptiveObserved(s Strategy, src AdaptiveSource, observe func(t int, arr
 // RunAdaptive simulates strategy s against an adaptive adversary and returns
 // the result together with the trace the adversary ended up generating (for
 // computing the offline optimum afterwards). Callers that cannot afford the
-// materialized trace stream segments through RunAdaptiveObserved instead
-// (ratio.MeasureAdaptiveStream).
+// materialized trace observe the arrivals through RunAdaptiveObserved
+// instead (ratio.RunAdaptiveStream).
 func RunAdaptive(s Strategy, src AdaptiveSource) (*Result, *Trace) {
 	tr := &Trace{N: src.N(), D: src.D()}
 	res, _ := RunAdaptiveObserved(s, src, func(t int, arrivals []Request) bool {

@@ -12,14 +12,23 @@ import (
 	"reqsched/internal/grid"
 	"reqsched/internal/grid/chaos"
 	"reqsched/internal/ratio"
+	"reqsched/internal/trace"
 )
 
 // TestMain doubles as the gridworker body: the supervisor tests spawn this
 // test binary with GRID_TEST_WORKER=1 and it speaks the worker protocol on
-// stdin/stdout instead of running tests — the standard re-exec trick, so the
+// stdin/stdout instead of running tests (GRID_TEST_WORKER=longline prints
+// an overlong line instead) — the standard re-exec trick, so the
 // real subprocess machinery (pipes, kills, respawns) is exercised without a
 // separately built binary.
 func TestMain(m *testing.M) {
+	if os.Getenv("GRID_TEST_WORKER") == "longline" {
+		// A sick worker: one heartbeat, then a line longer than any
+		// protocol line may be.
+		fmt.Println(`{"hb":"x"}`)
+		fmt.Println(`{"hb":"` + strings.Repeat("x", trace.MaxLineBytes) + `"}`)
+		os.Exit(0)
+	}
 	if os.Getenv("GRID_TEST_WORKER") == "1" {
 		hb := 50 * time.Millisecond
 		if v := os.Getenv("GRID_TEST_HB"); v != "" {
@@ -64,10 +73,11 @@ func testManifest(t *testing.T) []grid.Job {
 	return jobs
 }
 
-// cleanMeasurements is the ground truth: the plain in-process pool.
+// cleanMeasurements is the ground truth: the closure-built jobs on the ratio
+// pool.
 func cleanMeasurements(t *testing.T, jobs []grid.Job) []ratio.Measurement {
 	t.Helper()
-	ms, err := ratio.RunParallelChecked(grid.RatioJobs(jobs), 2)
+	ms, err := ratio.RunParallelCtx(context.Background(), grid.RatioJobs(jobs), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@
 //   - the worker side of both transports: WorkerMain (one pipe/connection)
 //     and ServeWorker (the TCP accept loop behind `gridworker -listen`);
 //   - an in-process runner (RunLocal) sharing the journal/resume semantics
-//     but executing on the ratio worker pool — the -shard 0 path;
+//     but measuring on a worker pool in this process — the -shard 0 path;
 //   - a deterministic chaos layer (subpackage chaos) injecting kill, stall,
 //     and corrupt-record process faults at fixed job indices plus
 //     drop/stall/trunc/partition link faults at fixed protocol message

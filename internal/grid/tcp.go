@@ -61,6 +61,18 @@ func readLine(br *bufio.Reader, off int64) (line []byte, next int64, err error) 
 	return line, next, err
 }
 
+// notHello is the handshake error for a first line that is not a hello. The
+// line may be up to trace.MaxLineBytes long, so only a short prefix is
+// quoted, followed by the line's length.
+func notHello(line []byte) error {
+	const show = 64
+	line = bytes.TrimSpace(line)
+	if len(line) <= show {
+		return fmt.Errorf("handshake: %q is not a hello line", line)
+	}
+	return fmt.Errorf("handshake: %q... (%d bytes) is not a hello line", line[:show], len(line))
+}
+
 func writeLine(w io.Writer, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -284,7 +296,7 @@ func (t *TCPTransport) dialOnce(ctx context.Context, addr string) (WorkerConn, e
 	var h helloLine
 	if err := json.Unmarshal(line, &h); err != nil || h.Hello == nil {
 		nc.Close()
-		return nil, fmt.Errorf("handshake: %q is not a hello line", bytes.TrimSpace(line))
+		return nil, notHello(line)
 	}
 	if h.Hello.Proto != ProtoVersion {
 		nc.Close()
@@ -475,7 +487,7 @@ func serveConn(nc net.Conn, hbInterval time.Duration, flt *chaos.Faults) error {
 	}
 	var h helloLine
 	if err := json.Unmarshal(line, &h); err != nil || h.Hello == nil {
-		return fmt.Errorf("handshake: %q is not a hello line", bytes.TrimSpace(line))
+		return notHello(line)
 	}
 	// Always answer with our own version, so a mismatched supervisor can name
 	// both sides in its error before we hang up.

@@ -699,3 +699,81 @@ func TestTCPWorkerReplyTooLong(t *testing.T) {
 		}
 	})
 }
+
+// TestTCPHandshakeNotHelloErrorIsShort sends each side of the handshake a
+// first line that is valid JSON but no hello, just under
+// trace.MaxLineBytes long: the error (and the log line carrying it) quotes a
+// short prefix and the line's length, never the whole line.
+func TestTCPHandshakeNotHelloErrorIsShort(t *testing.T) {
+	long := []byte(`{"junk":"` + strings.Repeat("x", trace.MaxLineBytes-64) + `"}` + "\n")
+	const limit = 300
+
+	// Supervisor side: a fake worker answers the hello with the long line.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			bufio.NewReader(nc).ReadBytes('\n')
+			nc.Write(long)
+			nc.Close()
+		}
+	}()
+	var dialLog lockedBuffer
+	tr := &grid.TCPTransport{Addrs: []string{ln.Addr().String()}, Redials: 1, Log: &dialLog}
+	_, err = tr.Dial(context.Background(), 0)
+	if err == nil || !strings.Contains(err.Error(), "not a hello line") {
+		t.Fatalf("dial to a worker answering junk: %v", err)
+	}
+	if n := len(err.Error()); n > limit {
+		t.Fatalf("supervisor handshake error is %d bytes, want <= %d", n, limit)
+	}
+	if n := len(dialLog.String()); n > limit {
+		t.Fatalf("supervisor dial log is %d bytes, want <= %d", n, limit)
+	}
+
+	// Worker side: ServeWorker logs the handshake error of a supervisor
+	// that opens with the long line, then hangs up on it.
+	wln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var workerLog lockedBuffer
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		grid.ServeWorker(ctx, wln, 20*time.Millisecond, nil, &workerLog)
+	}()
+	defer func() {
+		cancel()
+		<-served
+	}()
+	nc, err := net.Dial("tcp", wln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := nc.Write(long); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(nc); err != nil {
+		t.Fatalf("worker did not hang up: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(workerLog.String(), "not a hello line"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker logged no handshake error: %q", workerLog.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := len(workerLog.String()); n > limit {
+		t.Fatalf("worker handshake log is %d bytes, want <= %d", n, limit)
+	}
+}

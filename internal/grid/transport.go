@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
+
+	"reqsched/internal/trace"
 )
 
 // procLine is one parsed worker protocol line, or the error that ended the
@@ -106,20 +108,28 @@ func (t *PipeTransport) Dial(ctx context.Context, slot int) (WorkerConn, error) 
 	p := &proc{cmd: cmd, stdin: stdin, lines: make(chan procLine, 4)}
 	go func() {
 		defer close(p.lines)
-		sc := bufio.NewScanner(stdout)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
+		br := bufio.NewReader(stdout)
+		var off int64
+		for {
+			line, next, err := trace.ScanJSONLineSlice(br, off)
+			off = next
+			if err != nil {
+				// A clean EOF, or a line torn by the worker's death, means
+				// the worker is gone. Anything else (an overlong line, a
+				// read error) is a sick worker: report and stop reading;
+				// the supervisor reaps and respawns.
+				var torn *trace.TornTail
+				if err != io.EOF && !errors.As(err, &torn) {
+					p.lines <- procLine{err: fmt.Errorf("read worker stdout: %w", err)}
+				}
+				return
+			}
 			var out workerOut
-			if err := json.Unmarshal(sc.Bytes(), &out); err != nil {
-				// A worker emitting unparseable lines is sick: report and
-				// stop reading; the supervisor reaps and respawns.
+			if err := json.Unmarshal(line, &out); err != nil {
 				p.lines <- procLine{err: fmt.Errorf("unparseable worker line: %w", err)}
 				return
 			}
 			p.lines <- procLine{out: out}
-		}
-		if err := sc.Err(); err != nil {
-			p.lines <- procLine{err: err}
 		}
 	}()
 	return p, nil

@@ -68,24 +68,29 @@ func (lw *lineWriter) send(v workerOut) error {
 	return lw.err
 }
 
-// measureSpec runs one spec, converting panics anywhere in the construction
-// build or the measurement into an error (the worker must survive a bad
-// cell: its siblings still need it).
-func measureSpec(s Spec) (m ratio.Measurement, err error) {
+// measureJob runs one cell and labels the measurement with the job's name.
+// A panic anywhere in the construction build or the measurement becomes an
+// error: a gridworker and the in-process pool must both survive a bad cell,
+// since its siblings still need them.
+func measureJob(job Job) (m ratio.Measurement, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("measure panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	c, err := s.Build.Construction()
+	c, err := job.Spec.Build.Construction()
 	if err != nil {
 		return ratio.Measurement{}, err
 	}
-	st := newStrategy(s.Strategy)
+	st := newStrategy(job.Spec.Strategy)
 	if st == nil {
-		return ratio.Measurement{}, fmt.Errorf("unknown strategy %q", s.Strategy)
+		return ratio.Measurement{}, fmt.Errorf("unknown strategy %q", job.Spec.Strategy)
 	}
-	return ratio.MeasureConstruction(c, st), nil
+	m = ratio.MeasureConstruction(c, st)
+	if job.Name != "" {
+		m.Input = job.Name
+	}
+	return m, nil
 }
 
 // WorkerMain is the body of cmd/gridworker (and of the self-exec worker
@@ -145,7 +150,7 @@ func WorkerMain(in io.Reader, out io.Writer, hbInterval time.Duration, flt *chao
 				}
 			}
 		}()
-		m, err := measureSpec(job.Spec)
+		m, err := measureJob(job)
 		close(stop)
 		hbWG.Wait()
 
@@ -154,9 +159,6 @@ func WorkerMain(in io.Reader, out io.Writer, hbInterval time.Duration, flt *chao
 				return err
 			}
 			continue
-		}
-		if job.Name != "" {
-			m.Input = job.Name
 		}
 		rec := Record{ID: job.ID, M: MeasOf(m)}
 		rec.Seal()

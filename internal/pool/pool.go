@@ -35,6 +35,22 @@ func (e *JobPanic) Error() string {
 	return fmt.Sprintf("pool: job %d (%s) panicked: %v", e.Index, name, e.Value)
 }
 
+// Panicked returns the *JobPanics that err (an Each error) joins, keyed by
+// job index; it is empty when no job panicked.
+func Panicked(err error) map[int]*JobPanic {
+	out := make(map[int]*JobPanic)
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return out
+	}
+	for _, e := range joined.Unwrap() {
+		if p, ok := e.(*JobPanic); ok {
+			out[p.Index] = p
+		}
+	}
+	return out
+}
+
 // Workers resolves a worker count: n when positive, GOMAXPROCS otherwise.
 func Workers(n int) int {
 	if n <= 0 {

@@ -81,6 +81,12 @@ func TestEachAttributesPanics(t *testing.T) {
 		if !strings.Contains(err.Error(), "job 4 (job-4) panicked: boom 4") {
 			t.Fatalf("workers=%d: error %q does not name the job", workers, err)
 		}
+		if got := Panicked(err); len(got) != 2 || got[1] == nil || got[4] == nil || got[4].Value != "boom 4" {
+			t.Fatalf("workers=%d: Panicked = %v, want jobs 1 and 4", workers, got)
+		}
+	}
+	if got := Panicked(nil); len(got) != 0 {
+		t.Fatalf("Panicked(nil) = %v", got)
 	}
 }
 

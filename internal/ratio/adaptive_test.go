@@ -5,6 +5,7 @@ import (
 
 	"reqsched/internal/adversary"
 	"reqsched/internal/core"
+	"reqsched/internal/offline"
 	"reqsched/internal/strategies"
 )
 
@@ -20,16 +21,14 @@ func TestRunAdaptiveStreamMatchesMeasureAdaptive(t *testing.T) {
 			func() core.Strategy { return strategies.NewEDF() },
 		} {
 			want := MeasureAdaptive(mk(), adversary.Universal(tc.d, tc.cycles).Source)
-			for _, workers := range []int{1, 3} {
-				got, nsegs := RunAdaptiveStream(mk(), adversary.Universal(tc.d, tc.cycles).Source, workers)
-				if nsegs < 1 {
-					t.Fatalf("d=%d cycles=%d %s: no segments", tc.d, tc.cycles, want.Strategy)
-				}
-				if got.OPT != want.OPT || got.ALG != want.ALG || got.Expired != want.Expired {
-					t.Fatalf("d=%d cycles=%d %s workers=%d: stream OPT/ALG/Expired %d/%d/%d, post-hoc %d/%d/%d",
-						tc.d, tc.cycles, want.Strategy, workers,
-						got.OPT, got.ALG, got.Expired, want.OPT, want.ALG, want.Expired)
-				}
+			got, nsegs := RunAdaptiveStream(mk(), adversary.Universal(tc.d, tc.cycles).Source)
+			if nsegs < 1 {
+				t.Fatalf("d=%d cycles=%d %s: no segments", tc.d, tc.cycles, want.Strategy)
+			}
+			if got.OPT != want.OPT || got.ALG != want.ALG || got.Expired != want.Expired {
+				t.Fatalf("d=%d cycles=%d %s: stream OPT/ALG/Expired %d/%d/%d, post-hoc %d/%d/%d",
+					tc.d, tc.cycles, want.Strategy,
+					got.OPT, got.ALG, got.Expired, want.OPT, want.ALG, want.Expired)
 			}
 		}
 	}
@@ -65,27 +64,28 @@ func (g *gappedSource) Next(t int, isServed func(id int) bool) [][]int {
 
 func (g *gappedSource) Done(t int) bool { return t >= g.bursts*g.period }
 
-// TestRunAdaptiveStreamIncrementalPathMatchesPool pins the workers==1
-// incremental fast path (request-by-request matching, no materialized
-// segments) against the segment-solving worker pool: identical measurement
-// and identical segment count.
+// TestRunAdaptiveStreamIncrementalPathMatchesPool pins the incremental
+// stream (request-by-request matching, no materialized segments) against
+// the segment-solving offline pool run on the materialized trace: the
+// streamed OPT equals offline.OptimumParallel and the streamed segment count
+// equals the clean-cut segments of that trace.
 func TestRunAdaptiveStreamIncrementalPathMatchesPool(t *testing.T) {
 	for _, mk := range []func() core.Strategy{
 		func() core.Strategy { return strategies.NewFix() },
 		func() core.Strategy { return strategies.NewEager() },
 		func() core.Strategy { return strategies.NewEDF() },
 	} {
-		inc, isegs := RunAdaptiveStream(mk(), newGappedSource(4, 3, 6), 1)
-		pool, psegs := RunAdaptiveStream(mk(), newGappedSource(4, 3, 6), 2)
-		if inc != pool || isegs != psegs {
-			t.Fatalf("%s: incremental %+v (%d segs), pool %+v (%d segs)",
-				inc.Strategy, inc, isegs, pool, psegs)
-		}
-		adv, asegs := RunAdaptiveStream(mk(), adversary.Universal(3, 4).Source, 1)
-		advPool, apsegs := RunAdaptiveStream(mk(), adversary.Universal(3, 4).Source, 2)
-		if adv != advPool || asegs != apsegs {
-			t.Fatalf("%s adversary: incremental %+v (%d segs), pool %+v (%d segs)",
-				adv.Strategy, adv, asegs, advPool, apsegs)
+		for name, src := range map[string]func() core.AdaptiveSource{
+			"gapped":    func() core.AdaptiveSource { return newGappedSource(4, 3, 6) },
+			"universal": func() core.AdaptiveSource { return adversary.Universal(3, 4).Source },
+		} {
+			got, nsegs := RunAdaptiveStream(mk(), src())
+			_, tr := core.RunAdaptive(mk(), src())
+			opt, segs := offline.OptimumParallel(tr, 2), len(offline.SegmentTrace(tr))
+			if got.OPT != opt || nsegs != segs {
+				t.Fatalf("%s on %s: stream OPT %d (%d segs), pool OPT %d (%d segs)",
+					got.Strategy, name, got.OPT, nsegs, opt, segs)
+			}
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestRunAdaptiveStreamIncrementalPathMatchesPool(t *testing.T) {
 func TestRunAdaptiveStreamSegmentsGappedSource(t *testing.T) {
 	const bursts = 7
 	src := newGappedSource(3, 2, bursts)
-	got, nsegs := RunAdaptiveStream(strategies.NewEager(), src, 2)
+	got, nsegs := RunAdaptiveStream(strategies.NewEager(), src)
 	if nsegs != bursts {
 		t.Fatalf("expected %d segments (one per burst), got %d", bursts, nsegs)
 	}

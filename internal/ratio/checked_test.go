@@ -1,6 +1,7 @@
 package ratio
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func TestRunParallelCheckedAttributesPanics(t *testing.T) {
 			Strategy: func() core.Strategy { return strategies.NewFix() },
 		},
 	}
-	out, err := RunParallelChecked(jobs, 2)
+	out, err := RunParallelCtx(context.Background(), jobs, 2)
 	if err == nil {
 		t.Fatal("panicking job produced no error")
 	}
@@ -93,23 +94,4 @@ func TestRunParallelCheckedAttributesPanics(t *testing.T) {
 	if out[0].Input != "healthy-before" || out[2].Input != "healthy-after" {
 		t.Fatalf("sibling labels wrong: %+v", out)
 	}
-}
-
-func TestRunParallelRepanicsWithJobPanic(t *testing.T) {
-	jobs := []Job{{
-		Name:     "nil-deref",
-		Build:    func() adversary.Construction { return adversary.Fix(2, 10) },
-		Strategy: func() core.Strategy { return nil }, // nil strategy: Name() panics
-	}}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("RunParallel swallowed the job panic")
-		}
-		jp, ok := r.(error)
-		if !ok || !strings.Contains(jp.Error(), "nil-deref") {
-			t.Fatalf("re-panic value %v does not attribute the job", r)
-		}
-	}()
-	RunParallel(jobs, 1)
 }

@@ -8,10 +8,10 @@ import (
 	"reqsched/internal/pool"
 )
 
-// Job is one measurement for RunParallel: a construction factory paired with
-// a strategy factory. Factories, not instances, because constructions with
-// adaptive sources and most strategies are stateful and must not be shared
-// across goroutines.
+// Job is one measurement for RunParallelCtx: a construction factory paired
+// with a strategy factory. Factories, not instances, because constructions
+// with adaptive sources and most strategies are stateful and must not be
+// shared across goroutines.
 type Job struct {
 	// Name labels the measurement in the result.
 	Name string
@@ -27,38 +27,17 @@ type Job struct {
 // unaffected: they run to completion before the error is surfaced.
 type JobPanic = pool.JobPanic
 
-// RunParallel executes the jobs on up to `workers` goroutines (GOMAXPROCS if
-// workers <= 0) and returns the measurements in job order. Each job runs a
-// full simulation plus a Hopcroft–Karp optimum, so the work units are coarse
-// and the speedup is near-linear; the Table 1 harness and the sweep tool use
-// it to regenerate the whole evaluation in one pass.
+// RunParallelCtx executes the jobs on up to `workers` goroutines (GOMAXPROCS
+// if workers <= 0) and returns the measurements in job order. Each job runs
+// a full simulation plus a Hopcroft–Karp optimum, so the work units are
+// coarse and the speedup is near-linear.
 //
-// A job that panics does not take the sweep down anonymously: the panic is
-// recovered per job, siblings finish, and RunParallel re-panics with a
-// *JobPanic naming the offending job. Callers that prefer an error use
-// RunParallelChecked.
-func RunParallel(jobs []Job, workers int) []Measurement {
-	out, err := RunParallelChecked(jobs, workers)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RunParallelChecked is RunParallel returning job panics as an error instead
-// of re-panicking. The measurements of the jobs that completed are returned
-// in job order either way (failed jobs leave their zero value); the error
-// joins one *JobPanic per failed job, in job order.
-func RunParallelChecked(jobs []Job, workers int) ([]Measurement, error) {
-	return RunParallelCtx(context.Background(), jobs, workers)
-}
-
-// RunParallelCtx is RunParallelChecked with cooperative cancellation: when
-// ctx is cancelled, no further jobs are dispatched, but jobs already running
-// drain to completion and their measurements are kept — so a SIGINT-driven
-// caller loses no finished work. The returned error then includes ctx's
-// error alongside any per-job panics; undispatched jobs keep their zero
-// Measurement.
+// A job that panics does not take the sweep down: the panic is recovered per
+// job, its siblings finish, and the returned error joins one *JobPanic per
+// failed job, in job order; a failed job keeps its zero Measurement. When ctx
+// is cancelled no further jobs are dispatched, but jobs already running
+// drain and keep their measurements, and the error then ends with ctx's
+// error.
 func RunParallelCtx(ctx context.Context, jobs []Job, workers int) ([]Measurement, error) {
 	out := make([]Measurement, len(jobs))
 	err := pool.Each(ctx, len(jobs), workers, nil, func(i int) string { return jobs[i].Name },

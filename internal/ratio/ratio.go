@@ -1,7 +1,9 @@
 // Package ratio measures empirical competitive ratios: it runs an online
 // strategy and the offline optimum on the same input and reports
-// perf_OPT / perf_ALG, plus sweep and convergence helpers used by the
-// Table 1 harness.
+// perf_OPT / perf_ALG. It measures one cell (Measure*, RunAdaptiveStream),
+// runs a slice of cells on one worker pool (RunParallelCtx) and folds
+// per-seed measurements into a Summary; grids of registry cells are the
+// runner package's job.
 package ratio
 
 import (
@@ -100,16 +102,4 @@ func MeasureConstruction(c adversary.Construction, s core.Strategy) Measurement 
 	m.Input = c.Name
 	m.Bound = c.Bound
 	return m
-}
-
-// Convergence measures the ratio of strategy mk() on build(phases) for each
-// phase count, showing convergence of the empirical ratio to the bound as the
-// additive constant washes out.
-func Convergence(build func(phases int) adversary.Construction, mk func() core.Strategy, phaseCounts []int) []Measurement {
-	out := make([]Measurement, 0, len(phaseCounts))
-	for _, p := range phaseCounts {
-		c := build(p)
-		out = append(out, MeasureConstruction(c, mk()))
-	}
-	return out
 }

@@ -63,13 +63,11 @@ func TestMeasureConstructionAdaptive(t *testing.T) {
 }
 
 func TestConvergenceMonotone(t *testing.T) {
-	ms := Convergence(
-		func(p int) adversary.Construction { return adversary.Fix(4, p) },
-		func() core.Strategy { return strategies.NewFix() },
-		[]int{2, 8, 32, 128},
-	)
-	if len(ms) != 4 {
-		t.Fatalf("got %d measurements", len(ms))
+	// The additive constant washes out as the phase count grows, so the
+	// measured ratio rises towards the bound 2 - 1/d.
+	var ms []Measurement
+	for _, p := range []int{2, 8, 32, 128} {
+		ms = append(ms, MeasureConstruction(adversary.Fix(4, p), strategies.NewFix()))
 	}
 	for i := 1; i < len(ms); i++ {
 		if ms[i].Ratio() <= ms[i-1].Ratio() {

@@ -1,18 +1,20 @@
 package ratio
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"reqsched/internal/adversary"
 	"reqsched/internal/core"
-	"reqsched/internal/offline"
+	"reqsched/internal/pool"
 	"reqsched/internal/stats"
 )
 
 // Summary aggregates a strategy's empirical competitive ratio over a family
 // of workloads (one per seed): mean, deviation and extremes of OPT/ALG, plus
-// service-rate statistics. Used by cmd/schedsim -seeds and the examples to
-// report numbers that do not hinge on a single seed.
+// service-rate statistics. Used by cmd/schedsim (-seeds and -config) and the
+// examples to report numbers that do not hinge on a single seed.
 type Summary struct {
 	Strategy string
 	Seeds    int
@@ -40,26 +42,37 @@ func (s *Summary) String() string {
 		s.Served.Mean(), s.Served.Std(), s.Starved)
 }
 
-// Summarize measures mk() against the traces produced by gen(seed) for seeds
-// 0..seeds-1.
-func Summarize(mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds int) *Summary {
-	var sum Summary
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		tr := gen(seed)
-		s := mk()
-		if sum.Strategy == "" {
-			sum.Strategy = s.Name()
+// SummarizeParallel measures mk() against the traces produced by gen(seed)
+// for seeds 0..seeds-1 on a worker pool (workers <= 0: GOMAXPROCS). The
+// per-seed simulations and offline optima run concurrently, while the
+// summary is folded strictly in seed order, so the result is bit-identical
+// for every worker count. A panicking seed surfaces as a *JobPanic naming it;
+// the completed seeds are still folded and Seeds counts only them.
+func SummarizeParallel(mk func() core.Strategy, gen func(seed int64) *core.Trace, seeds, workers int) (*Summary, error) {
+	jobs := make([]Job, seeds)
+	for i := range jobs {
+		seed := int64(i)
+		jobs[i] = Job{
+			Name:     fmt.Sprintf("seed %d", seed),
+			Build:    func() adversary.Construction { return adversary.Construction{Trace: gen(seed)} },
+			Strategy: mk,
 		}
-		res := core.Run(s, tr)
-		sum.add(Measurement{OPT: offline.Optimum(tr), ALG: res.Fulfilled, Expired: res.Expired})
 	}
-	return &sum
+	ms, err := RunParallelCtx(context.Background(), jobs, workers)
+	failed := pool.Panicked(err)
+	sum := &Summary{Strategy: mk().Name()}
+	for i, m := range ms {
+		if failed[i] == nil {
+			sum.Add(m)
+		}
+	}
+	return sum, err
 }
 
-// add folds one seed's measurement into the summary. A seed where the
+// Add folds one seed's measurement into the summary. A seed where the
 // strategy starved while OPT served has an infinite ratio: it is counted in
 // Starved instead of the mean.
-func (s *Summary) add(m Measurement) {
+func (s *Summary) Add(m Measurement) {
 	s.Seeds++
 	if r := m.Ratio(); math.IsInf(r, 1) {
 		s.Starved++

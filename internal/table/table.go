@@ -2,18 +2,20 @@
 // runs the matching lower-bound adversary, measures OPT/ALG, and pairs the
 // measurement with the proven lower and upper bounds. Used by cmd/table1 and
 // the benchmark harness. Every row is a registry record (strategy name,
-// adversary name, params) measured through the same grid manifest pipeline
-// as cmd/sweep, so a row is reproducible from its labels alone.
+// adversary name, params) measured through the same runner pipeline as
+// cmd/sweep, so a row is reproducible from its labels alone.
 package table
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 
 	"reqsched/internal/adversary"
-	"reqsched/internal/grid"
 	"reqsched/internal/ratio"
 	"reqsched/internal/registry"
+	"reqsched/internal/runner"
 	"reqsched/internal/strategies"
 )
 
@@ -66,9 +68,8 @@ func entry(row, param, theorem string, d int, m ratio.Measurement) Entry {
 
 // rowSpec is one Table 1 cell, declared once as a registry record — strategy
 // and adversary by name plus the construction's parameters — and measured
-// either serially or on the ratio worker pool through the grid manifest
-// pipeline. Both execution paths share the same spec list, so their output is
-// identical by construction.
+// through the runner pipeline, serially or on its worker pool. Both share
+// the same spec list, so their output is identical by construction.
 type rowSpec struct {
 	row, param, theorem string
 	d                   int
@@ -207,32 +208,30 @@ func modelRowSpecs(cfg Config) []rowSpec {
 	return specs
 }
 
-// measureSpecs resolves the specs into a grid manifest and measures it on the
-// ratio worker pool (workers <= 0: GOMAXPROCS; 1: serial), converting the
-// measurements, in spec order, into entries. Every job is independent and
-// deterministic, so the output does not depend on workers.
+// measureSpecs declares the specs as runner records and measures them
+// through runner.Run on the in-process pool (workers <= 0: GOMAXPROCS; 1:
+// serial), converting the measurements, in spec order, into entries. Every
+// cell is independent and deterministic, so the output does not depend on
+// workers; a failed cell fails the table.
 func measureSpecs(specs []rowSpec, workers int) ([]Entry, error) {
-	gspecs := make([]grid.Spec, len(specs))
-	names := make([]string, len(specs))
+	recs := make([]runner.Record, len(specs))
 	for i, sp := range specs {
-		gs, err := grid.SpecFor(sp.strategy, sp.source, sp.params)
-		if err != nil {
-			return nil, fmt.Errorf("table: row %s %s: %w", sp.row, sp.param, err)
-		}
-		gspecs[i] = gs
-		names[i] = sp.row + " " + sp.param
+		recs[i] = runner.Record{Name: sp.row + " " + sp.param, Strategy: sp.strategy, Source: sp.source, Params: sp.params}
 	}
-	jobs, err := grid.BuildManifest(gspecs, names)
+	jobs, err := runner.Manifest(recs)
+	if err != nil {
+		return nil, fmt.Errorf("table: %w", err)
+	}
+	res, err := runner.Run(context.Background(), jobs, runner.Options{Tool: "table", Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	ms, err := ratio.RunParallelChecked(grid.RatioJobs(jobs), workers)
-	if err != nil {
-		return nil, err
+	if res.FailureReport != "" {
+		return nil, errors.New(res.FailureReport)
 	}
 	out := make([]Entry, len(specs))
 	for i, sp := range specs {
-		e := entry(sp.row, sp.param, sp.theorem, sp.d, ms[i])
+		e := entry(sp.row, sp.param, sp.theorem, sp.d, res.Measurements[i])
 		if sp.universal {
 			e.Row = "any (" + sp.row + ")"
 			e.ProvenLB = strategies.UniversalLowerBound()
@@ -256,7 +255,7 @@ func Rows(cfg Config) []Entry {
 	return out
 }
 
-// RowsParallel is Rows on the ratio worker pool: identical entries (every
+// RowsParallel is Rows on the runner's worker pool: identical entries (every
 // cell is an independent deterministic measurement), job panics surfaced as
 // an error instead of taking the harness down.
 func RowsParallel(cfg Config, workers int) ([]Entry, error) {
@@ -272,22 +271,13 @@ func LocalRows(cfg Config) []Entry {
 	return out
 }
 
-// LocalRowsParallel is LocalRows on the ratio worker pool.
+// LocalRowsParallel is LocalRows on the runner's worker pool.
 func LocalRowsParallel(cfg Config, workers int) ([]Entry, error) {
 	return measureSpecs(localRowSpecs(cfg), workers)
 }
 
-// ModelRows measures the reusable-resources rows (greedy under hold=k
-// service models), serially.
-func ModelRows(cfg Config) []Entry {
-	out, err := measureSpecs(modelRowSpecs(cfg), 1)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ModelRowsParallel is ModelRows on the ratio worker pool.
+// ModelRowsParallel measures the reusable-resources rows (greedy under
+// hold=k service models) on the runner's worker pool.
 func ModelRowsParallel(cfg Config, workers int) ([]Entry, error) {
 	return measureSpecs(modelRowSpecs(cfg), workers)
 }
@@ -319,11 +309,4 @@ func universalTargets() []string {
 		"A_fix", "A_current", "A_fix_balance", "A_eager", "A_balance",
 		"EDF", "first_fit", "A_local_fix", "A_local_eager",
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,6 +30,7 @@
 package reqsched
 
 import (
+	"context"
 	"io"
 	"iter"
 
@@ -191,12 +192,12 @@ func EarliestDeadlineSchedule(tr *Trace) int { return offline.EarliestDeadlineSc
 type AdaptiveSource = core.AdaptiveSource
 
 // MeasureAdaptiveStream runs s against an adaptive source and computes its
-// competitive ratio incrementally: generated rounds stream through a
-// clean-cut segmenter into the segmented offline solver while the run is in
+// competitive ratio incrementally: every generated arrival feeds the
+// incremental offline optimum, sealed at clean cuts, while the run is in
 // progress, so the full trace is never materialized. Returns the measurement
 // and the number of segments the run decomposed into.
-func MeasureAdaptiveStream(s Strategy, src AdaptiveSource, workers int) (Measurement, int) {
-	return ratio.RunAdaptiveStream(s, src, workers)
+func MeasureAdaptiveStream(s Strategy, src AdaptiveSource) (Measurement, int) {
+	return ratio.RunAdaptiveStream(s, src)
 }
 
 // Global strategies (Table 1 rows).
@@ -346,13 +347,17 @@ type MeasureJob = ratio.Job
 // not take down its siblings: they complete, then MeasureParallel re-panics
 // with a *MeasureJobPanic naming the offending job.
 func MeasureParallel(jobs []MeasureJob, workers int) []Measurement {
-	return ratio.RunParallel(jobs, workers)
+	ms, err := MeasureParallelChecked(jobs, workers)
+	if err != nil {
+		panic(err)
+	}
+	return ms
 }
 
 // MeasureParallelChecked is MeasureParallel returning job panics as an error
 // (one *MeasureJobPanic per failed job) instead of re-panicking.
 func MeasureParallelChecked(jobs []MeasureJob, workers int) ([]Measurement, error) {
-	return ratio.RunParallelChecked(jobs, workers)
+	return ratio.RunParallelCtx(context.Background(), jobs, workers)
 }
 
 // MeasureJobPanic attributes a panic in a MeasureParallel job to the job's
@@ -368,16 +373,11 @@ func FormatRatio(r float64, decimals int) string { return ratio.FormatRatio(r, d
 // RatioSummary aggregates a strategy's empirical ratio over many seeds.
 type RatioSummary = ratio.Summary
 
-// Summarize measures mk() against gen(seed) for seeds 0..seeds-1 and
-// aggregates the ratios (mean, deviation, extremes).
-func Summarize(mk func() Strategy, gen func(seed int64) *Trace, seeds int) *RatioSummary {
-	return ratio.Summarize(func() core.Strategy { return mk() }, gen, seeds)
-}
-
-// SummarizeParallel is Summarize on a worker pool (workers <= 0: GOMAXPROCS).
-// Results are folded strictly in seed order, so the summary is bit-identical
-// to Summarize for every worker count. A panicking seed surfaces as a
-// *MeasureJobPanic naming it.
+// SummarizeParallel measures mk() against gen(seed) for seeds 0..seeds-1 on
+// a worker pool (workers <= 0: GOMAXPROCS) and aggregates the ratios (mean,
+// deviation, extremes). Results are folded strictly in seed order, so the
+// summary is bit-identical for every worker count. A panicking seed
+// surfaces as a *MeasureJobPanic naming it.
 func SummarizeParallel(mk func() Strategy, gen func(seed int64) *Trace, seeds, workers int) (*RatioSummary, error) {
 	return ratio.SummarizeParallel(func() core.Strategy { return mk() }, gen, seeds, workers)
 }

@@ -2,6 +2,7 @@ package reqsched_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -215,4 +216,27 @@ func ExampleAugmentingOrders() {
 	res := reqsched.Run(reqsched.NewAFix(), tr)
 	fmt.Println(len(reqsched.AugmentingOrders(tr, res.Log)))
 	// Output: 0
+}
+
+// TestMeasureParallelRepanicsWithJobPanic pins the facade's panicking form:
+// a job whose strategy factory returns nil panics inside the pool, and
+// MeasureParallel re-panics with a *MeasureJobPanic naming that job.
+func TestMeasureParallelRepanicsWithJobPanic(t *testing.T) {
+	jobs := []reqsched.MeasureJob{{
+		Name:     "nil-deref",
+		Build:    func() reqsched.Construction { return reqsched.AdversaryFix(2, 10) },
+		Strategy: func() reqsched.Strategy { return nil }, // nil strategy: Name() panics
+	}}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("MeasureParallel swallowed the job panic")
+		}
+		var jp *reqsched.MeasureJobPanic
+		err, ok := r.(error)
+		if !ok || !errors.As(err, &jp) || jp.Name != "nil-deref" {
+			t.Fatalf("re-panic value %v does not attribute the job", r)
+		}
+	}()
+	reqsched.MeasureParallel(jobs, 1)
 }
