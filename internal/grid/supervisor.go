@@ -165,7 +165,9 @@ func (r *Report) FailureReport() string {
 		if name == "" {
 			name = f.ID
 		}
-		fmt.Fprintf(&b, "  cell %d (%s): %d attempts, last error: %s\n", f.Index, name, f.Attempts, f.Err)
+		// One line per cell: a panic's stack stays in f.Err.
+		msg, _, _ := strings.Cut(f.Err, "\n")
+		fmt.Fprintf(&b, "  cell %d (%s): %d attempts, last error: %s\n", f.Index, name, f.Attempts, msg)
 	}
 	if len(r.LostHosts) > 0 {
 		fmt.Fprintf(&b, "  lost worker hosts: %s\n", strings.Join(r.LostHosts, ", "))
